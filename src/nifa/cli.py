@@ -67,32 +67,12 @@ def _cmd_pretrain(args) -> int:
         delta=args.delta,
         dimension_offset=args.dimension_offset,
     )
-    coords = pretrain.diffusion_coordinates(data, cfg)
-    eps_local = (
-        cfg.epsilon_local
-        if cfg.epsilon_local is not None
-        else pretrain.default_epsilon_local(coords)
-    )
-    lam_means = pretrain.mean_local_eigenvalues(coords, eps_local)
-    anchor = pretrain.run_pretraining(data, cfg, args.pieces)
-    runio.save_anchor_set(
-        out_dir,
-        anchor,
-        {
-            "pieces": args.pieces,
-            "config": {
-                "epsilon_dm": cfg.epsilon_dm,
-                "Q": cfg.Q,
-                "epsilon_local": eps_local,
-                "delta": cfg.delta,
-                "dimension_offset": cfg.dimension_offset,
-            },
-        },
-    )
+    anchor, decisions = pretrain.pretrain_with_decisions(data, cfg, args.pieces)
+    runio.save_anchor_set(out_dir, anchor, {"pieces": args.pieces, **decisions})
     print(f"selected K={anchor.n_anchors}")
     print("mean local eigenvalues and successor ratios:")
-    for m, lam in enumerate(lam_means):
-        ratio = lam_means[m + 1] / lam if m + 1 < lam_means.size and lam > 0 else float("nan")
+    ratios = np.append(decisions["eigenvalue_ratios"], np.nan)
+    for m, (lam, ratio) in enumerate(zip(decisions["mean_local_eigenvalues"], ratios)):
         print(f"  rank {m + 1}: {lam:.6g}  ratio-to-next {ratio:.4f}")
     return 0
 
@@ -147,13 +127,9 @@ def _cmd_postprocess(args) -> int:
     processed, report = postprocess.postprocess_chain(chain)
     # model-mean preservation on a shared u-grid, before vs after alignment
     grid = np.linspace(0.0, 1.0, 101)
-    max_delta = 0.0
-    for before, after in zip(chain.samples, processed.samples):
-        means = []
-        for st in (before, after):
-            eta = np.column_stack([g(grid) for g in st.splines])
-            means.append(eta @ st.loadings.T)
-        max_delta = max(max_delta, float(np.max(np.abs(means[0] - means[1]))))
+    before, after = (postprocess.mappings_on_grid(c, grid) @ c.loadings.transpose(0, 2, 1)
+                     for c in (chain, processed))
+    max_delta = float(np.max(np.abs(before - after)))
     out_dir = Path(args.run_dir) / "summaries"
     out_dir.mkdir(exist_ok=True)
     summary = postprocess.summarize(processed)
@@ -285,12 +261,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # LinAlgError and DegenerateLoadingError subclass ValueError: catch them first
+    except (np.linalg.LinAlgError, postprocess.DegenerateLoadingError, RuntimeError,
+            FloatingPointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DataMatrix, DomainError, ShapeError, factor_matrix
+from .model import DataMatrix, DomainError, ShapeError, eta
 from .sampler import PosteriorChain
 
 
@@ -87,12 +87,11 @@ def covariance_estimators(chain: PosteriorChain, data: DataMatrix):
     Returns (empirical, loadings-based Lambda Lambda' + Sigma, bias-corrected
     Lambda cov(eta_hat) Lambda' + Sigma), each P x P.
     """
-    if len(chain) == 0:
-        raise ValueError("cannot estimate from an empty chain")
     empirical = np.cov(data.values, rowvar=False)
-    lam_mean = np.mean([s.loadings for s in chain.samples], axis=0)
-    sig_mean = np.mean([s.residual_variances for s in chain.samples], axis=0)
+    lam_mean = chain.loadings.mean(axis=0)
+    sig_mean = chain.residual_variances.mean(axis=0)
     naive = lam_mean @ lam_mean.T + np.diag(sig_mean)
-    eta_mean = np.mean([factor_matrix(s) for s in chain.samples], axis=0)
+    eta_mean = np.mean([eta(c, u, chain.assignment) for c, u in
+                        zip(chain.spline_coefficients, chain.latent_locations)], axis=0)
     corrected = lam_mean @ np.cov(eta_mean, rowvar=False) @ lam_mean.T + np.diag(sig_mean)
     return empirical, naive, corrected

@@ -232,14 +232,28 @@ class Hyperparameters:
             raise ValueError("burn_in must be smaller than iterations")
 
 
+def spline_coefficients(splines) -> np.ndarray:
+    """(L+1) x H coefficient matrix of H maps; row 0 holds the intercepts."""
+    return np.column_stack([np.concatenate([[g.intercept], g.slopes]) for g in splines])
+
+
+def eta(coefficients: np.ndarray, u: np.ndarray, assignment: FactorAssignment) -> np.ndarray:
+    """Latent factors as an N x H matrix: eta[:, h] = g_h(u[:, k_h]).
+
+    ``coefficients`` is the (L+1) x H matrix of ``spline_coefficients``; the
+    locations ``u`` (N x K) must lie in [0,1].
+    """
+    n_pieces = coefficients.shape[0] - 1
+    k0 = assignment.zero_based
+    out = np.empty((u.shape[0], k0.size))
+    for h, k in enumerate(k0):
+        out[:, h] = coefficients[0, h] + spline_basis(u[:, k], n_pieces) @ coefficients[1:, h]
+    return out
+
+
 def factor_matrix(state: NiftyState) -> np.ndarray:
     """All latent factors: N x H matrix with eta[i, h] = g_h(u_{i, k_h})."""
-    u = state.latent_locations
-    eta = np.empty((state.n_rows, state.n_factors))
-    k0 = state.assignment.zero_based
-    for h, g in enumerate(state.splines):
-        eta[:, h] = spline_eval(g, u[:, k0[h]])
-    return eta
+    return eta(spline_coefficients(state.splines), state.latent_locations, state.assignment)
 
 
 def factor_transform(state: NiftyState, i: int) -> np.ndarray:

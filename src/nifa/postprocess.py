@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import NiftyState, PiecewiseLinearMap
+from .model import eta
 from .sampler import PosteriorChain
 
 
@@ -75,12 +75,6 @@ def orthogonalize_partition(lambda_block: np.ndarray):
     return out, rot
 
 
-def _partitions(state: NiftyState) -> list[np.ndarray]:
-    """Factor indices grouped by shared latent location."""
-    k0 = state.assignment.zero_based
-    return [np.flatnonzero(k0 == k) for k in range(state.n_locations)]
-
-
 def _greedy_match(pivot_block: np.ndarray, block: np.ndarray, tol: float = 1e-12):
     """Greedy column matching by maximal absolute inner product.
 
@@ -108,61 +102,38 @@ def _greedy_match(pivot_block: np.ndarray, block: np.ndarray, tol: float = 1e-12
     return perm, signs, tied
 
 
-def _apply_rotation(state: NiftyState, factor_idx: np.ndarray, rot: np.ndarray) -> NiftyState:
-    """Right-multiply a loading partition by rot and rotate its mappings."""
-    lam = state.loadings.copy()
-    lam[:, factor_idx] = lam[:, factor_idx] @ rot
-    n_pieces = state.splines[0].n_pieces
-    coef = np.column_stack(
-        [np.concatenate([[state.splines[h].intercept], state.splines[h].slopes])
-         for h in factor_idx]
-    )
-    new_coef = coef @ rot
-    splines = list(state.splines)
-    for pos, h in enumerate(factor_idx):
-        splines[h] = PiecewiseLinearMap(new_coef[0, pos], new_coef[1:, pos])
-    return replace(state, loadings=lam, splines=tuple(splines))
-
-
 def match_align(chain: PosteriorChain):
     """Orthogonalize every partition of every sample and align to a pivot.
 
     The pivot is the retained sample with the highest joint log posterior.
     Returns (aligned chain, AlignmentReport).
     """
-    if len(chain) == 0:
-        raise ValueError("cannot align an empty chain")
     pivot_index = int(np.argmax(chain.diagnostics.log_posterior_trace))
-    parts = _partitions(chain.samples[0])
-
-    pivot_blocks = []
-    pivot_state = chain.samples[pivot_index]
-    for idx in parts:
-        rotated, _ = orthogonalize_partition(pivot_state.loadings[:, idx])
-        pivot_blocks.append(rotated)
-
-    aligned = []
+    k0 = chain.assignment.zero_based
+    # factor indices grouped by shared latent location
+    parts = [np.flatnonzero(k0 == k) for k in range(chain.assignment.n_locations)]
+    pivot_blocks = [orthogonalize_partition(chain.loadings[pivot_index][:, idx])[0]
+                    for idx in parts]
+    lam = chain.loadings.copy()
+    coef = chain.spline_coefficients.copy()
     rotations, permutations, sign_flips, ties = [], [], [], []
-    for m, sample in enumerate(chain.samples):
+    for m in range(len(chain)):
         rots_m, perms_m, signs_m = [], [], []
-        new_state = sample
         for k, idx in enumerate(parts):
-            _, r_orth = orthogonalize_partition(new_state.loadings[:, idx])
-            block = new_state.loadings[:, idx] @ r_orth
+            _, r_orth = orthogonalize_partition(lam[m][:, idx])
+            block = lam[m][:, idx] @ r_orth
             perm, signs, tied = _greedy_match(pivot_blocks[k], block)
             if tied:
                 ties.append((m, k))
-            size = idx.size
             # aligned column j = signs[j] * block[:, perm[j]]
-            pmat = np.zeros((size, size))
-            for j in range(size):
-                pmat[perm[j], j] = signs[j]
+            pmat = np.zeros((idx.size, idx.size))
+            pmat[perm, np.arange(idx.size)] = signs
             rot = r_orth @ pmat
-            new_state = _apply_rotation(new_state, idx, rot)
+            lam[m][:, idx] = lam[m][:, idx] @ rot
+            coef[m][:, idx] = coef[m][:, idx] @ rot
             rots_m.append(rot)
             perms_m.append(perm.copy())
             signs_m.append(signs.copy())
-        aligned.append(new_state)
         rotations.append(tuple(rots_m))
         permutations.append(tuple(perms_m))
         sign_flips.append(tuple(signs_m))
@@ -174,28 +145,32 @@ def match_align(chain: PosteriorChain):
         sign_flips=tuple(sign_flips),
         ties=tuple(ties),
     )
-    new_chain = PosteriorChain(tuple(aligned), chain.diagnostics, chain.config, chain.anchor)
-    return new_chain, report
+    return replace(chain, loadings=lam, spline_coefficients=coef), report
 
 
-def normalize_columns(sample: NiftyState) -> NiftyState:
-    """Scale each loading column to unit norm, moving the norm into its mapping."""
-    norms = np.linalg.norm(sample.loadings, axis=0)
+def normalize_columns(loadings: np.ndarray, spline_coefficients: np.ndarray):
+    """Scale each loading column to unit norm, moving the norm into its mapping.
+
+    Works on one draw (P x H and (L+1) x H) or a stack of draws (M x P x H and
+    M x (L+1) x H). Returns the new (loadings, spline coefficients).
+    """
+    norms = np.linalg.norm(loadings, axis=-2, keepdims=True)
     if np.any(norms <= 0):
         raise DegenerateLoadingError("cannot normalize a zero loading column")
-    lam = sample.loadings / norms
-    splines = tuple(g.scaled(norms[h]) for h, g in enumerate(sample.splines))
-    return replace(sample, loadings=lam, splines=splines)
+    return loadings / norms, spline_coefficients * norms
 
 
 def postprocess_chain(chain: PosteriorChain):
     """Full identifiability pipeline: align, then normalize every sample."""
     aligned, report = match_align(chain)
-    normalized = tuple(normalize_columns(s) for s in aligned.samples)
-    return (
-        PosteriorChain(normalized, chain.diagnostics, chain.config, chain.anchor),
-        report,
-    )
+    lam, coef = normalize_columns(aligned.loadings, aligned.spline_coefficients)
+    return replace(aligned, loadings=lam, spline_coefficients=coef), report
+
+
+def mappings_on_grid(chain: PosteriorChain, grid: np.ndarray) -> np.ndarray:
+    """Every draw's mappings g_h evaluated on a 1-d u-grid: M x len(grid) x H."""
+    grid_u = np.repeat(grid[:, None], chain.assignment.n_locations, axis=1)
+    return np.stack([eta(c, grid_u, chain.assignment) for c in chain.spline_coefficients])
 
 
 def summarize(chain: PosteriorChain, n_grid: int = 101, level: float = 0.90):
@@ -204,24 +179,17 @@ def summarize(chain: PosteriorChain, n_grid: int = 101, level: float = 0.90):
     Mappings are summarized by evaluating each sample's splines on a uniform
     grid of ``n_grid`` points. Returns a dict of arrays.
     """
-    if len(chain) == 0:
-        raise ValueError("cannot summarize an empty chain")
     lo_q, hi_q = (1 - level) / 2, 1 - (1 - level) / 2
-    lam = np.stack([s.loadings for s in chain.samples])
-    sig = np.stack([s.residual_variances for s in chain.samples])
     grid = np.linspace(0.0, 1.0, n_grid)
-    g_vals = np.stack(
-        [np.column_stack([g(grid) for g in s.splines]) for s in chain.samples]
-    )
     def stats(arr):
         return (
             arr.mean(axis=0),
             np.quantile(arr, lo_q, axis=0),
             np.quantile(arr, hi_q, axis=0),
         )
-    lam_mean, lam_lo, lam_hi = stats(lam)
-    sig_mean, sig_lo, sig_hi = stats(sig)
-    g_mean, g_lo, g_hi = stats(g_vals)
+    lam_mean, lam_lo, lam_hi = stats(chain.loadings)
+    sig_mean, sig_lo, sig_hi = stats(chain.residual_variances)
+    g_mean, g_lo, g_hi = stats(mappings_on_grid(chain, grid))
     return {
         "u_grid": grid,
         "loadings_mean": lam_mean, "loadings_lower": lam_lo, "loadings_upper": lam_hi,

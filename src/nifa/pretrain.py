@@ -3,7 +3,7 @@ anchor-column extraction, and anchor residual-variance estimation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -174,9 +174,13 @@ def estimate_dimension(coords: np.ndarray, epsilon_local: float, delta: float) -
 
     Falls back to 1 when no index qualifies.
     """
-    if coords.shape[1] < 2:
+    return _ratio_rule(mean_local_eigenvalues(coords, epsilon_local), delta)
+
+
+def _ratio_rule(lam: np.ndarray, delta: float) -> int:
+    """K = max{k : lam[k+1]/lam[k] >= delta} over mean local eigenvalues, else 1."""
+    if lam.size < 2:
         raise ValueError("need at least 2 embedding coordinates")
-    lam = mean_local_eigenvalues(coords, epsilon_local)
     if np.all(lam <= 0):
         raise DegenerateGeometryError("all mean local eigenvalues are zero")
     qualifying = [
@@ -217,16 +221,34 @@ def anchors_from_external(coordinates: np.ndarray, n_pieces: int) -> AnchorSet:
     return AnchorSet(coords, variances, source="external")
 
 
-def run_pretraining(data: DataMatrix, cfg: DiffusionConfig, n_pieces: int) -> AnchorSet:
-    """Full pipeline: embed, estimate K, extract anchors, estimate their variances."""
-    coords = diffusion_coordinates(data, cfg)
-    eps_local = (
-        cfg.epsilon_local if cfg.epsilon_local is not None else default_epsilon_local(coords)
-    )
-    k = estimate_dimension(coords, eps_local, cfg.delta) + cfg.dimension_offset
+def pretrain_with_decisions(data: DataMatrix, cfg: DiffusionConfig, n_pieces: int):
+    """Embed, estimate K, extract anchors and estimate their variances, once.
+
+    Returns (AnchorSet, decisions). ``decisions`` records the configuration
+    with both bandwidths as used, the diffusion eigenvalues, the mean local
+    eigenvalues and their successor ratios (NaN after a non-positive one).
+    """
+    eps_dm = cfg.epsilon_dm if cfg.epsilon_dm is not None else default_epsilon_dm(data)
+    eigenvalues, coords = diffusion_spectrum(data, replace(cfg, epsilon_dm=eps_dm))
+    eps_local = (cfg.epsilon_local if cfg.epsilon_local is not None
+                 else default_epsilon_local(coords))
+    lam = mean_local_eigenvalues(coords, eps_local)
+    k = _ratio_rule(lam, cfg.delta) + cfg.dimension_offset
     k = max(1, min(k, coords.shape[1]))
     anchors = coords[:, :k]
     variances = np.array(
         [anchor_residual_variance(anchors[:, j], n_pieces)[0] for j in range(k)]
     )
-    return AnchorSet(anchors, variances, source="diffusion_map")
+    decisions = {
+        "config": asdict(replace(cfg, epsilon_dm=eps_dm, epsilon_local=eps_local)),
+        "diffusion_eigenvalues": eigenvalues,
+        "mean_local_eigenvalues": lam,
+        "eigenvalue_ratios": np.divide(lam[1:], lam[:-1], out=np.full(lam.size - 1, np.nan),
+                                       where=lam[:-1] > 0),
+    }
+    return AnchorSet(anchors, variances, source="diffusion_map"), decisions
+
+
+def run_pretraining(data: DataMatrix, cfg: DiffusionConfig, n_pieces: int) -> AnchorSet:
+    """Full pipeline: embed, estimate K, extract anchors, estimate their variances."""
+    return pretrain_with_decisions(data, cfg, n_pieces)[0]

@@ -1,16 +1,18 @@
 """Run-directory persistence: comma-separated numeric matrices with one header
-row, JSON metadata records, and full chain round-tripping."""
+row, JSON metadata records, and full chain round-tripping through one
+uncompressed ``chain.npz`` of stacked draws."""
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .model import FactorAssignment, Hyperparameters, NiftyState, PiecewiseLinearMap
-from .sampler import ChainDiagnostics, PosteriorChain
+from .model import FactorAssignment, Hyperparameters
+from .sampler import CHAIN_ARRAYS, ChainDiagnostics, PosteriorChain
 from .pretrain import AnchorSet
 
 
@@ -83,27 +85,13 @@ def load_anchor_set(anchor_dir) -> AnchorSet:
     return AnchorSet(coords, np.asarray(meta["residual_variances"]), meta["source"])
 
 
-def _spline_coefficients(state: NiftyState) -> np.ndarray:
-    """(L+1) x H matrix; row 0 holds intercepts."""
-    return np.column_stack(
-        [np.concatenate([[g.intercept], g.slopes]) for g in state.splines]
-    )
-
-
 def save_chain(run_dir, chain: PosteriorChain) -> None:
-    """Persist a chain as one directory per sample plus a manifest record."""
+    """Persist a chain: its stacked draws in one ``chain.npz``, the log-posterior
+    trace, the anchors, and a manifest record written last."""
     run_dir = Path(run_dir)
-    samples_dir = run_dir / "samples"
-    samples_dir.mkdir(parents=True, exist_ok=True)
-    for m, state in enumerate(chain.samples):
-        d = samples_dir / f"sample_{m:05d}"
-        d.mkdir(exist_ok=True)
-        save_matrix(d / "loadings.csv", state.loadings)
-        save_matrix(d / "spline_coefficients.csv", _spline_coefficients(state))
-        save_matrix(d / "latent_locations.csv", state.latent_locations)
-        save_matrix(d / "residual_variances.csv", state.residual_variances[None, :])
-        save_matrix(d / "local_scales.csv", state.local_scales)
-        save_matrix(d / "global_scale.csv", np.array([[state.global_scale]]))
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "manifest.json").unlink(missing_ok=True)
+    np.savez(run_dir / "chain.npz", **{name: getattr(chain, name) for name in CHAIN_ARRAYS})
     save_matrix(
         run_dir / "log_posterior.csv",
         chain.diagnostics.log_posterior_trace[:, None],
@@ -114,7 +102,7 @@ def save_chain(run_dir, chain: PosteriorChain) -> None:
         run_dir / "manifest.json",
         {
             "n_samples": len(chain),
-            "assignment": chain.samples[0].assignment.k_of_h if chain.samples else [],
+            "assignment": chain.assignment.k_of_h,
             "mala_acceptance_rate": chain.diagnostics.mala_acceptance_rate,
             "block_seconds": chain.diagnostics.block_seconds,
             "config": asdict(chain.config),
@@ -125,47 +113,29 @@ def save_chain(run_dir, chain: PosteriorChain) -> None:
 def load_chain(run_dir) -> PosteriorChain:
     """Reconstruct a PosteriorChain from a run directory."""
     run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest.json"
-    missing = [
-        str(p.name)
-        for p in (manifest_path, run_dir / "log_posterior.csv", run_dir / "samples")
-        if not p.exists()
-    ]
+    required = ("manifest.json", "chain.npz", "log_posterior.csv", "anchor")
+    missing = [name for name in required if not (run_dir / name).exists()]
     if missing:
         raise IncompleteRunError(f"run directory {run_dir} is missing: {', '.join(missing)}")
-    manifest = load_json(manifest_path)
-    hp = Hyperparameters(**manifest["config"])
-    anchor = load_anchor_set(run_dir / "anchor")
-    assignment = FactorAssignment(np.asarray(manifest["assignment"], dtype=int))
+    manifest = load_json(run_dir / "manifest.json")
+    try:
+        with np.load(run_dir / "chain.npz", allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in CHAIN_ARRAYS}
+    except (KeyError, zipfile.BadZipFile) as exc:
+        raise IncompleteRunError(f"unreadable chain.npz in {run_dir}: {exc}") from None
+    if any(a.shape[:1] != (manifest["n_samples"],) for a in arrays.values()):
+        raise IncompleteRunError(f"chain.npz in {run_dir} does not hold the manifest's "
+                                 f"{manifest['n_samples']} samples")
     trace, _ = load_matrix(run_dir / "log_posterior.csv")
-    samples = []
-    for m in range(manifest["n_samples"]):
-        d = run_dir / "samples" / f"sample_{m:05d}"
-        if not d.exists():
-            raise IncompleteRunError(f"missing sample directory {d}")
-        loadings, _ = load_matrix(d / "loadings.csv")
-        coef, _ = load_matrix(d / "spline_coefficients.csv")
-        u, _ = load_matrix(d / "latent_locations.csv")
-        sig, _ = load_matrix(d / "residual_variances.csv")
-        scales, _ = load_matrix(d / "local_scales.csv")
-        tau, _ = load_matrix(d / "global_scale.csv")
-        splines = tuple(
-            PiecewiseLinearMap(coef[0, h], coef[1:, h]) for h in range(coef.shape[1])
-        )
-        samples.append(
-            NiftyState(
-                loadings=loadings,
-                splines=splines,
-                latent_locations=u,
-                residual_variances=sig.ravel(),
-                local_scales=scales,
-                global_scale=float(tau.ravel()[0]),
-                assignment=assignment,
-            )
-        )
     diagnostics = ChainDiagnostics(
         log_posterior_trace=trace.ravel(),
         mala_acceptance_rate=manifest["mala_acceptance_rate"],
         block_seconds=np.asarray(manifest["block_seconds"]),
     )
-    return PosteriorChain(tuple(samples), diagnostics, hp, anchor)
+    return PosteriorChain(
+        **arrays,
+        assignment=FactorAssignment(np.asarray(manifest["assignment"], dtype=int)),
+        diagnostics=diagnostics,
+        config=Hyperparameters(**manifest["config"]),
+        anchor=load_anchor_set(run_dir / "anchor"),
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -22,9 +23,13 @@ from .model import (
     Hyperparameters,
     MonotoneSpline,
     NiftyState,
+    PiecewiseLinearMap,
+    ShapeError,
+    eta,
     factor_matrix,
     log_likelihood,
     spline_basis,
+    spline_coefficients,
 )
 from .pretrain import AnchorSet
 
@@ -40,22 +45,71 @@ class ChainDiagnostics:
     block_seconds: np.ndarray  # loadings, variances, splines, mala, shrinkage
 
 
+CHAIN_ARRAYS = ("loadings", "spline_coefficients", "latent_locations",
+                "residual_variances", "local_scales", "global_scale")
+
+
 @dataclass(frozen=True)
 class PosteriorChain:
-    """Ordered post-burn-in, thinned samples plus run metadata."""
+    """Ordered post-burn-in, thinned draws as stacked read-only arrays, plus
+    run metadata. A chain holds at least one draw."""
 
-    samples: tuple
+    loadings: np.ndarray             # M x P x H
+    spline_coefficients: np.ndarray  # M x (L+1) x H; row 0 holds the intercepts
+    latent_locations: np.ndarray     # M x N x K, entries in [0,1]
+    residual_variances: np.ndarray   # M x P, positive
+    local_scales: np.ndarray         # M x P x H, positive
+    global_scale: np.ndarray         # M, positive
+    assignment: FactorAssignment
     diagnostics: ChainDiagnostics
     config: Hyperparameters
     anchor: AnchorSet
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if len(self.samples) != self.diagnostics.log_posterior_trace.size:
-            raise ValueError("trace length must equal retained sample count")
+        arrays = [np.array(getattr(self, name), dtype=float) for name in CHAIN_ARRAYS]
+        for name, arr in zip(CHAIN_ARRAYS, arrays):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        lam, coef, u, sig, gam, tau = arrays
+        m = self.diagnostics.log_posterior_trace.size
+        if m < 1:
+            raise ValueError("a chain needs at least one retained draw")
+        h, k = self.assignment.n_factors, self.assignment.n_locations
+        p, n, width = (a.shape[1] if a.ndim == 3 else -1 for a in (lam, u, coef))
+        expected = ((m, p, h), (m, width, h), (m, n, k), (m, p), (m, p, h), (m,))
+        if width < 2 or any(a.shape != e for a, e in zip(arrays, expected)):
+            raise ShapeError("chain arrays must hold one draw per trace entry, shaped "
+                             "by the assignment")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValueError("chain arrays must be finite")
+        if np.any(sig <= 0) or np.any(gam <= 0) or np.any(tau <= 0):
+            raise ValueError("variances and shrinkage scales must be positive")
+        if np.any(u < 0) or np.any(u > 1):
+            raise DomainError("latent locations must lie in [0,1]")
+
+    @classmethod
+    def from_states(cls, states, diagnostics: ChainDiagnostics, config: Hyperparameters,
+                    anchor: AnchorSet) -> "PosteriorChain":
+        """Stack NiftyState records; they share the first record's assignment."""
+        if not states:
+            raise ValueError("a chain needs at least one retained draw")
+        draws = [(s.loadings, spline_coefficients(s.splines), s.latent_locations,
+                  s.residual_variances, s.local_scales, s.global_scale) for s in states]
+        return cls(**dict(zip(CHAIN_ARRAYS, map(np.stack, zip(*draws)))),
+                   assignment=states[0].assignment, diagnostics=diagnostics, config=config,
+                   anchor=anchor)
+
+    @cached_property
+    def samples(self) -> tuple:
+        """One NiftyState record per draw, built on first access."""
+        return tuple(
+            NiftyState(lam, tuple(PiecewiseLinearMap(col[0], col[1:]) for col in c.T),
+                       u, sig, gam, tau, self.assignment)
+            for lam, c, u, sig, gam, tau in zip(*(getattr(self, n) for n in CHAIN_ARRAYS))
+        )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.global_scale.shape[0]
 
 
 def uniform_penalty(u_col: np.ndarray) -> float:
@@ -214,9 +268,7 @@ def sample_spline_coefficients(
     """
     prec, lin = spline_posterior(state, data, hp)
     width = state.splines[0].n_pieces + 1
-    beta = np.concatenate(
-        [np.concatenate([[s.intercept], s.slopes]) for s in state.splines]
-    )
+    beta = spline_coefficients(state.splines).ravel(order="F")
     is_slope = (np.arange(beta.size) % width) != 0
     for _ in range(n_sweeps):
         for c in range(beta.size):
@@ -247,14 +299,11 @@ def _u_target_raw(
 
     Returns (-inf, zeros) when any coordinate leaves [0,1].
     """
-    n, k = u.shape
     if np.any(u < 0) or np.any(u > 1):
         return -np.inf, np.zeros_like(u)
     k0 = state.assignment.zero_based
-    eta = np.empty((n, state.n_factors))
-    for h, g in enumerate(state.splines):
-        eta[:, h] = g.intercept + spline_basis(u[:, k0[h]], g.n_pieces) @ g.slopes
-    resid = data.values - eta @ state.loadings.T
+    factors = eta(spline_coefficients(state.splines), u, state.assignment)
+    resid = data.values - factors @ state.loadings.T
     inv_sig = 1.0 / state.residual_variances
     value = -0.5 * float(np.sum(resid**2 * inv_sig))
     weighted = resid * inv_sig  # N x P
@@ -263,7 +312,7 @@ def _u_target_raw(
         pull = weighted @ state.loadings[:, h]
         grad[:, k0[h]] += pull * g.derivative(u[:, k0[h]])
     if nu > 0:
-        for kk in range(k):
+        for kk in range(u.shape[1]):
             value -= nu * uniform_penalty(u[:, kk])
             grad[:, kk] -= nu * uniform_penalty_gradient(u[:, kk])
     return value, grad
@@ -392,6 +441,13 @@ def initial_state(
     )
 
 
+def _require_finite(t: int, **arrays) -> None:
+    """Raise, naming sweep t, if an updated state array is not finite."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise RuntimeError(f"non-finite {name.replace('_', ' ')} at sweep {t}")
+
+
 def run_chain(
     data: DataMatrix,
     anchor: AnchorSet,
@@ -401,6 +457,7 @@ def run_chain(
     """Run the full Gibbs sampler and return the retained posterior chain.
 
     ``data`` must already carry the anchor columns as its first K features.
+    Raises RuntimeError at the sweep where a non-finite value first appears.
     """
     k = anchor.n_anchors
     if assignment.n_locations != k:
@@ -433,6 +490,7 @@ def run_chain(
                 for j in range(p)
             ]
         )
+        _require_finite(t, loadings=lam)
         state = replace(state, loadings=lam)
         t1 = time.perf_counter()
 
@@ -440,10 +498,12 @@ def run_chain(
             sigma2 = sample_residual_variances(
                 state, data, hp, rng, eta=eta, anchor_variances=anchor.residual_variances
             )
+            _require_finite(t, residual_variances=sigma2)
             state = replace(state, residual_variances=sigma2)
         t2 = time.perf_counter()
 
         splines = sample_spline_coefficients(state, data, hp, rng)
+        _require_finite(t, spline_intercepts=[g.intercept for g in splines])
         state = replace(state, splines=splines)
         t3 = time.perf_counter()
 
@@ -458,6 +518,7 @@ def run_chain(
         t4 = time.perf_counter()
 
         gamma, tau = sample_shrinkage(state, rng)
+        _require_finite(t, local_scales=gamma, global_scale=tau)
         state = replace(state, local_scales=gamma, global_scale=tau)
         t5 = time.perf_counter()
 
@@ -465,12 +526,7 @@ def run_chain(
 
         if t >= hp.burn_in and (t - hp.burn_in) % hp.thin == 0:
             lp = log_joint(state, data, hp, n_anchor=k)
-            if not np.isfinite(lp):
-                raise RuntimeError(
-                    f"non-finite log posterior at iteration {t}; state dump: "
-                    f"loadings={state.loadings!r}, sigma2={state.residual_variances!r}, "
-                    f"tau={state.global_scale!r}"
-                )
+            _require_finite(t, log_posterior=lp)
             samples.append(state)
             trace.append(lp)
 
@@ -479,4 +535,4 @@ def run_chain(
         mala_acceptance_rate=(accept_count / post_burn_steps) if post_burn_steps else 0.0,
         block_seconds=block_seconds,
     )
-    return PosteriorChain(tuple(samples), diagnostics, hp, anchor)
+    return PosteriorChain.from_states(samples, diagnostics, hp, anchor)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DataMatrix, spline_eval
+from .model import DataMatrix, eta
 from .sampler import PosteriorChain
 
 NOISE_SD = 0.1  # residual variance 0.01 throughout the synthetic settings
@@ -88,27 +88,18 @@ def posterior_predictive_array(
     chain: PosteriorChain, n_new: int, rng: np.random.Generator | int
 ) -> np.ndarray:
     """Posterior-predictive draws as a plain n_new x P array (n_new may be 0)."""
-    if len(chain) == 0:
-        raise ValueError("cannot generate from an empty chain")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    template = chain.samples[0]
-    p, k = template.n_features, template.n_locations
+    p, k = chain.residual_variances.shape[1], chain.assignment.n_locations
     out = np.empty((n_new, p))
-    if n_new == 0:
-        return out
     idx = rng.integers(len(chain), size=n_new)
     u_new = rng.uniform(size=(n_new, k))
     noise = rng.standard_normal((n_new, p))
-    k0 = template.assignment.zero_based
     for m in np.unique(idx):
         rows = np.flatnonzero(idx == m)
-        state = chain.samples[m]
-        eta = np.column_stack(
-            [spline_eval(g, u_new[rows, k0[h]]) for h, g in enumerate(state.splines)]
-        )
-        out[rows] = eta @ state.loadings.T + noise[rows] * np.sqrt(
-            state.residual_variances
+        factors = eta(chain.spline_coefficients[m], u_new[rows], chain.assignment)
+        out[rows] = factors @ chain.loadings[m].T + noise[rows] * np.sqrt(
+            chain.residual_variances[m]
         )
     return out
 

@@ -188,3 +188,94 @@ class TestEvaluate:
                    "--projections", "10") == 0
         out = capsys.readouterr().out
         assert "reference floor" in out
+
+
+class TestExitCodes:
+    def test_linalg_failure_in_fit_exits_1(self, workspace, tmp_path, monkeypatch):
+        import nifa.sampler
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(nifa.sampler, "run_chain", broken)
+        assert run("fit", "--input", workspace / "data.csv",
+                   "--anchor-dir", workspace / "anchors", "--out", tmp_path / "x",
+                   "--iterations", "20", "--burn-in", "10", "--pieces", "8") == 1
+
+    def test_non_finite_sweep_in_fit_exits_1(self, workspace, tmp_path, monkeypatch, capsys):
+        import nifa.sampler
+
+        original = nifa.sampler.sample_shrinkage
+
+        def poisoned(state, rng):
+            gamma, _ = original(state, rng)
+            return gamma, np.nan
+
+        monkeypatch.setattr(nifa.sampler, "sample_shrinkage", poisoned)
+        assert run("fit", "--input", workspace / "data.csv",
+                   "--anchor-dir", workspace / "anchors", "--out", tmp_path / "x",
+                   "--iterations", "20", "--burn-in", "10", "--pieces", "8") == 1
+        assert "at sweep 0" in capsys.readouterr().err
+
+    def test_rank_deficient_partition_in_postprocess_exits_1(self, workspace, tmp_path):
+        from dataclasses import replace
+
+        from nifa.runio import save_chain
+
+        chain = load_chain(workspace / "run")
+        lam = chain.loadings.copy()
+        lam[:, :, 0] = 0.0
+        save_chain(tmp_path / "run", replace(chain, loadings=lam))
+        assert run("postprocess", tmp_path / "run") == 1
+
+
+class TestPretrainPass:
+    def test_one_eigensolve_and_decisions_recorded(self, workspace, tmp_path, monkeypatch,
+                                                   capsys):
+        import nifa.pretrain as pretrain
+
+        calls = {"diffusion_spectrum": 0, "mean_local_eigenvalues": 0}
+
+        def counting(name):
+            fn = getattr(pretrain, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pretrain, name, counting(name))
+        assert run("pretrain", "--input", workspace / "data.csv", "--out-dir", tmp_path / "a",
+                   "--pieces", "8") == 0
+        assert calls == {"diffusion_spectrum": 1, "mean_local_eigenvalues": 1}
+        monkeypatch.undo()
+        data, _ = load_matrix(workspace / "data.csv")
+        from nifa.model import DataMatrix
+
+        expected = pretrain.run_pretraining(DataMatrix(data), pretrain.DiffusionConfig(), 8)
+        out = capsys.readouterr().out
+        assert f"selected K={expected.n_anchors}\n" in out
+        meta = load_json(tmp_path / "a" / "anchor_meta.json")
+        assert len(meta["diffusion_eigenvalues"]) == 5
+        assert len(meta["eigenvalue_ratios"]) == len(meta["mean_local_eigenvalues"]) - 1
+        assert meta["config"]["epsilon_dm"] > 0 and meta["config"]["epsilon_local"] > 0
+
+
+class TestColumnarStages:
+    def test_postprocess_and_generate_build_no_state_records(self, workspace, tmp_path,
+                                                             monkeypatch):
+        from nifa.model import NiftyState
+
+        builds = []
+        original = NiftyState.__post_init__
+
+        def counted(self):
+            builds.append(None)
+            original(self)
+
+        monkeypatch.setattr(NiftyState, "__post_init__", counted)
+        assert run("postprocess", workspace / "run") == 0
+        assert run("generate", workspace / "run", "--n", "10", "--seed", "0",
+                   "--out", tmp_path / "g.csv") == 0
+        assert builds == []

@@ -180,7 +180,7 @@ def linear_chain(n=400, p=5, h=2, seed=0, eta_law="normal"):
     )
     eta = factor_matrix(state)
     data = DataMatrix(eta @ lam.T + 0.2 * rng.standard_normal((n, p)))
-    chain = PosteriorChain(
+    chain = PosteriorChain.from_states(
         (state,), ChainDiagnostics(np.zeros(1), 0.5, np.zeros(5)),
         Hyperparameters(L=L),
         AnchorSet(u[:, :1], np.array([0.01])),
@@ -212,9 +212,8 @@ class TestCovarianceEstimators:
 
     def test_empty_chain_rejected(self):
         chain, data = linear_chain(seed=17)
-        empty = PosteriorChain(
-            (), ChainDiagnostics(np.empty(0), 0.0, np.zeros(5)),
-            chain.config, chain.anchor,
-        )
         with pytest.raises(ValueError):
-            covariance_estimators(empty, data)
+            covariance_estimators(PosteriorChain.from_states(
+                (), ChainDiagnostics(np.empty(0), 0.0, np.zeros(5)),
+                chain.config, chain.anchor,
+            ), data)

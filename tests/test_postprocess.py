@@ -7,6 +7,7 @@ from nifa.model import (
     MonotoneSpline,
     NiftyState,
     PiecewiseLinearMap,
+    spline_coefficients,
 )
 from nifa.postprocess import (
     DegenerateLoadingError,
@@ -75,7 +76,7 @@ def make_chain(n_samples=6, seed=0):
     trace[0] = 10.0  # make the untouched base state the pivot
     diag = ChainDiagnostics(trace, 0.5, np.zeros(5))
     anchor = AnchorSet(np.zeros((12, 2)) + rng.uniform(size=(12, 2)), np.array([0.01, 0.01]))
-    return PosteriorChain(tuple(samples), diag, Hyperparameters(L=5), anchor)
+    return PosteriorChain.from_states(samples, diag, Hyperparameters(L=5), anchor)
 
 
 class TestVarimax:
@@ -176,29 +177,36 @@ class TestMatchAlign:
 
     def test_empty_chain_rejected(self):
         chain = make_chain()
-        empty = PosteriorChain(
-            (), ChainDiagnostics(np.empty(0), 0.0, np.zeros(5)),
-            chain.config, chain.anchor,
-        )
         with pytest.raises(ValueError):
-            match_align(empty)
+            match_align(PosteriorChain.from_states(
+                (), ChainDiagnostics(np.empty(0), 0.0, np.zeros(5)),
+                chain.config, chain.anchor,
+            ))
 
 
 class TestNormalize:
     def test_unit_norms_and_preserved_product(self):
         st = base_state(seed=8)
-        out = normalize_columns(st)
+        lam, coef = normalize_columns(st.loadings, spline_coefficients(st.splines))
+        out = NiftyState(lam, [PiecewiseLinearMap(c[0], c[1:]) for c in coef.T],
+                         st.latent_locations, st.residual_variances, st.local_scales,
+                         st.global_scale, st.assignment)
         assert np.allclose(np.linalg.norm(out.loadings, axis=0), 1.0, atol=1e-12)
         assert np.max(np.abs(mapped_product(st) - mapped_product(out))) < 1e-10
+
+    def test_stack_matches_single_draws(self):
+        chain = make_chain(seed=13)
+        lam, coef = normalize_columns(chain.loadings, chain.spline_coefficients)
+        for m in range(len(chain)):
+            lam_m, coef_m = normalize_columns(chain.loadings[m], chain.spline_coefficients[m])
+            assert np.array_equal(lam[m], lam_m) and np.array_equal(coef[m], coef_m)
 
     def test_zero_column_raises(self):
         st = base_state(seed=9)
         lam = st.loadings.copy()
         lam[:, 1] = 0.0
-        bad = NiftyState(lam, st.splines, st.latent_locations, st.residual_variances,
-                         st.local_scales, st.global_scale, st.assignment)
         with pytest.raises(DegenerateLoadingError):
-            normalize_columns(bad)
+            normalize_columns(lam, spline_coefficients(st.splines))
 
 
 class TestPipeline:
@@ -222,7 +230,7 @@ class TestPipeline:
 
     def test_summarize_interval_covers_mean_of_constant_chain(self):
         chain = make_chain(seed=12)
-        single = PosteriorChain(
+        single = PosteriorChain.from_states(
             (chain.samples[0],) * 4,
             ChainDiagnostics(np.zeros(4), 0.5, np.zeros(5)),
             chain.config, chain.anchor,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nifa.model import DataMatrix, FactorAssignment, Hyperparameters
+from nifa.model import DataMatrix, DomainError, FactorAssignment, Hyperparameters
+from nifa.postprocess import postprocess_chain
 from nifa.pretrain import AnchorSet
 from nifa.runio import (
     IncompleteRunError,
@@ -12,16 +13,16 @@ from nifa.runio import (
     save_chain,
     save_matrix,
 )
-from nifa.sampler import run_chain
+from nifa.sampler import CHAIN_ARRAYS, run_chain
 
 
-def make_chain(seed=0):
+def make_chain(seed=0, thin=5, assignment=(1,)):
     rng = np.random.default_rng(seed)
     n = 25
     anchor = AnchorSet(rng.uniform(size=(n, 1)) / 10, np.array([0.02]))
     data = DataMatrix(np.hstack([anchor.coordinates, rng.standard_normal((n, 2))]))
-    hp = Hyperparameters(iterations=30, burn_in=10, thin=5, seed=seed, L=4)
-    return run_chain(data, anchor, hp, FactorAssignment(np.array([1]))), data
+    hp = Hyperparameters(iterations=30, burn_in=10, thin=thin, seed=seed, L=4)
+    return run_chain(data, anchor, hp, FactorAssignment(np.array(assignment))), data
 
 
 class TestMatrixIO:
@@ -102,11 +103,57 @@ class TestChainIO:
         with pytest.raises(IncompleteRunError, match="manifest"):
             load_chain(tmp_path / "run")
 
-    def test_missing_sample_dir(self, tmp_path):
+    def test_missing_chain_file(self, tmp_path):
         chain, _ = make_chain(seed=4)
         save_chain(tmp_path / "run", chain)
-        import shutil
+        (tmp_path / "run" / "chain.npz").unlink()
+        with pytest.raises(IncompleteRunError, match="chain.npz"):
+            load_chain(tmp_path / "run")
 
-        shutil.rmtree(tmp_path / "run" / "samples" / "sample_00000")
-        with pytest.raises(IncompleteRunError, match="sample"):
+    def test_sample_count_must_match_manifest(self, tmp_path):
+        chain, _ = make_chain(seed=5)
+        save_chain(tmp_path / "run", chain)
+        arrays = dict(np.load(tmp_path / "run" / "chain.npz"))
+        np.savez(tmp_path / "run" / "chain.npz", **{k: v[1:] for k, v in arrays.items()})
+        with pytest.raises(IncompleteRunError, match="samples"):
+            load_chain(tmp_path / "run")
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_exact_round_trip(self, tmp_path, aligned):
+        chain, _ = make_chain(seed=3, assignment=[1, 1])
+        if aligned:
+            chain, _ = postprocess_chain(chain)
+            assert np.any(chain.spline_coefficients[:, 1:] < 0)
+        save_chain(tmp_path / "run", chain)
+        back = load_chain(tmp_path / "run")
+        for name in CHAIN_ARRAYS:
+            assert np.array_equal(getattr(back, name), getattr(chain, name)), name
+        assert np.array_equal(back.assignment.k_of_h, chain.assignment.k_of_h)
+        assert np.array_equal(back.diagnostics.log_posterior_trace,
+                              chain.diagnostics.log_posterior_trace)
+
+    def test_file_count_independent_of_draws(self, tmp_path):
+        short, _ = make_chain(seed=6)
+        long, _ = make_chain(seed=6, thin=1)
+        assert len(long) > len(short)
+        for name, chain in (("short", short), ("long", long)):
+            save_chain(tmp_path / name, chain)
+        count = [sum(p.is_file() for p in (tmp_path / name).rglob("*")) for name in ("short", "long")]
+        assert count[0] == count[1]
+
+    @pytest.mark.parametrize("name, value, error", [
+        ("residual_variances", -1.0, ValueError),
+        ("local_scales", 0.0, ValueError),
+        ("global_scale", -1.0, ValueError),
+        ("latent_locations", 1.5, DomainError),
+        ("spline_coefficients", np.nan, ValueError),
+    ])
+    def test_invalid_draws_rejected(self, tmp_path, name, value, error):
+        chain, _ = make_chain(seed=7)
+        save_chain(tmp_path / "run", chain)
+        arrays = dict(np.load(tmp_path / "run" / "chain.npz"))
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = value
+        np.savez(tmp_path / "run" / "chain.npz", **arrays)
+        with pytest.raises(error):
             load_chain(tmp_path / "run")

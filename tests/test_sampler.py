@@ -615,3 +615,35 @@ class TestChain:
         chain = run_chain(data, anchor, hp, FactorAssignment(np.array([1])))
         for s, lp in zip(chain.samples, chain.diagnostics.log_posterior_trace):
             assert log_joint(s, data, hp, n_anchor=1) == pytest.approx(lp)
+
+    @pytest.mark.parametrize("block, nth_call, poison", [
+        ("sample_loadings_row", 9, lambda row: row * np.nan),   # 4 rows per sweep
+        ("sample_shrinkage", 3, lambda out: (out[0], np.nan)),
+    ])
+    def test_non_finite_block_fails_at_its_sweep(self, monkeypatch, block, nth_call, poison):
+        import nifa.sampler
+
+        data, anchor = self.make_problem(seed=6)
+        hp = Hyperparameters(iterations=20, burn_in=10, thin=5, seed=1, L=5)
+        original, calls = getattr(nifa.sampler, block), []
+
+        def poisoned(*args, **kwargs):
+            calls.append(None)
+            out = original(*args, **kwargs)
+            return poison(out) if len(calls) == nth_call else out
+
+        monkeypatch.setattr(nifa.sampler, block, poisoned)
+        with pytest.raises(RuntimeError, match="at sweep 2$"):
+            run_chain(data, anchor, hp, FactorAssignment(np.array([1])))
+
+    def test_chain_arrays_are_read_only_and_records_derived(self):
+        data, anchor = self.make_problem(seed=7)
+        hp = Hyperparameters(iterations=30, burn_in=10, thin=5, seed=2, L=5)
+        chain = run_chain(data, anchor, hp, FactorAssignment(np.array([1])))
+        assert chain.loadings.shape == (len(chain), data.n_features, 1)
+        with pytest.raises(ValueError):
+            chain.loadings[0, 0, 0] = 1.0
+        assert chain.samples is chain.samples
+        rebuilt = PosteriorChain.from_states(chain.samples, chain.diagnostics, chain.config,
+                                             chain.anchor)
+        assert np.array_equal(rebuilt.spline_coefficients, chain.spline_coefficients)

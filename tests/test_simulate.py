@@ -142,8 +142,8 @@ def toy_chain(seed=0, n_states=3):
                 assignment=FactorAssignment.round_robin(2, 2),
             )
         )
-    return PosteriorChain(
-        tuple(states),
+    return PosteriorChain.from_states(
+        states,
         ChainDiagnostics(np.zeros(n_states), 0.5, np.zeros(5)),
         Hyperparameters(L=5),
         AnchorSet(rng.uniform(size=(10, 2)), np.array([0.01, 0.01])),
@@ -167,12 +167,11 @@ class TestPosteriorPredictive:
 
     def test_empty_chain_rejected(self):
         chain = toy_chain()
-        empty = PosteriorChain(
-            (), ChainDiagnostics(np.empty(0), 0.0, np.zeros(5)),
-            chain.config, chain.anchor,
-        )
         with pytest.raises(ValueError):
-            posterior_predictive(empty, 5, 0)
+            posterior_predictive(PosteriorChain.from_states(
+                (), ChainDiagnostics(np.empty(0), 0.0, np.zeros(5)),
+                chain.config, chain.anchor,
+            ), 5, 0)
 
     def test_draws_follow_single_state_model(self):
         # one-state chain: rows are Lambda g(u) + noise with u uniform
