@@ -10,15 +10,10 @@ from .model import (
     DomainError,
     FactorAssignment,
     Hyperparameters,
-    MonotoneSpline,
     NiftyState,
     PiecewiseLinearMap,
     ShapeError,
-    factor_matrix,
-    factor_transform,
     log_likelihood,
-    model_mean,
-    model_mean_matrix,
     spline_basis,
     spline_eval,
 )
@@ -27,7 +22,6 @@ from .pretrain import (
     DegenerateGeometryError,
     DiffusionConfig,
     anchors_from_external,
-    diffusion_coordinates,
     estimate_dimension,
     run_pretraining,
 )
@@ -54,7 +48,7 @@ from .simulate import (
     gen_setting2,
     gen_setting3,
     gen_swiss_roll,
-    posterior_predictive,
+    posterior_predictive_array,
 )
 from .runio import load_anchor_set, load_chain, save_anchor_set, save_chain
 
@@ -71,17 +65,13 @@ __all__ = [
     "DomainError",
     "FactorAssignment",
     "Hyperparameters",
-    "MonotoneSpline",
     "NiftyState",
     "PiecewiseLinearMap",
     "PosteriorChain",
     "ShapeError",
     "anchors_from_external",
     "covariance_estimators",
-    "diffusion_coordinates",
     "estimate_dimension",
-    "factor_matrix",
-    "factor_transform",
     "gen_hetero_clusters",
     "gen_setting1",
     "gen_setting2",
@@ -94,11 +84,9 @@ __all__ = [
     "log_joint",
     "log_likelihood",
     "match_align",
-    "model_mean",
-    "model_mean_matrix",
     "normalize_columns",
     "orthogonalize_partition",
-    "posterior_predictive",
+    "posterior_predictive_array",
     "postprocess_chain",
     "run_chain",
     "run_pretraining",

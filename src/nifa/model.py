@@ -2,12 +2,13 @@
 
 The generative model is x_i = Lambda * eta_i + eps_i with eta_ih = g_h(u_{i,k_h}),
 where each g_h is a piecewise-linear map on [0,1] and the latent locations u are
-uniform on [0,1]. Everything here is a pure function of immutable value records.
+uniform on [0,1]. The H maps are held as one (L+1) x H coefficient matrix, row 0
+the intercepts; the record types here describe one draw for callers that want it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,6 +100,15 @@ def spline_basis(u, n_pieces: int) -> np.ndarray:
     return np.clip(u[..., None] - knots, 0.0, 1.0 / n_pieces)
 
 
+def spline_piece(u, n_pieces: int) -> np.ndarray:
+    """Index of the piece holding u, i.e. of the slope that is dg/du there.
+
+    At a knot the right piece applies; u = 1 lies in the last piece.
+    """
+    u = np.asarray(u, dtype=float)
+    return np.minimum((u * n_pieces).astype(int), n_pieces - 1)
+
+
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
     """Continuous piecewise-linear function on [0,1] with evenly spaced knots.
@@ -122,25 +132,6 @@ class PiecewiseLinearMap:
 
     def __call__(self, u):
         return spline_eval(self, u)
-
-    def derivative(self, u) -> np.ndarray:
-        """Piecewise-constant derivative; at a knot, the right-piece slope."""
-        u = np.asarray(u, dtype=float)
-        piece = np.minimum((u * self.n_pieces).astype(int), self.n_pieces - 1)
-        return self.slopes[piece]
-
-    def scaled(self, c: float) -> "PiecewiseLinearMap":
-        return PiecewiseLinearMap(self.intercept * c, self.slopes * c)
-
-
-@dataclass(frozen=True)
-class MonotoneSpline(PiecewiseLinearMap):
-    """Piecewise-linear map with non-negative slopes (non-decreasing on [0,1])."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if np.any(self.slopes < 0):
-            raise ValueError("monotone spline requires non-negative slopes")
 
 
 def spline_eval(s: PiecewiseLinearMap, u):
@@ -251,36 +242,12 @@ def eta(coefficients: np.ndarray, u: np.ndarray, assignment: FactorAssignment) -
     return out
 
 
-def factor_matrix(state: NiftyState) -> np.ndarray:
-    """All latent factors: N x H matrix with eta[i, h] = g_h(u_{i, k_h})."""
-    return eta(spline_coefficients(state.splines), state.latent_locations, state.assignment)
-
-
-def factor_transform(state: NiftyState, i: int) -> np.ndarray:
-    """Latent factor vector eta_i for row i."""
-    u = state.latent_locations[i]
-    k0 = state.assignment.zero_based
-    return np.array([spline_eval(g, u[k0[h]]) for h, g in enumerate(state.splines)])
-
-
-def model_mean(state: NiftyState, i: int) -> np.ndarray:
-    """Model mean Lambda * eta_i for row i."""
-    return state.loadings @ factor_transform(state, i)
-
-
-def model_mean_matrix(state: NiftyState) -> np.ndarray:
-    """All model means as an N x P matrix."""
-    return factor_matrix(state) @ state.loadings.T
-
-
-def log_likelihood(state: NiftyState, data: DataMatrix) -> float:
-    """Gaussian log-likelihood of the data given the state (conditional on u)."""
-    if data.n_features != state.n_features:
-        raise ShapeError("data column count does not match state")
-    if data.n_rows != state.n_rows:
-        raise ShapeError("data row count does not match state")
-    resid = data.values - model_mean_matrix(state)
-    sig = state.residual_variances
+def log_likelihood(mean: np.ndarray, residual_variances: np.ndarray, data: DataMatrix) -> float:
+    """Gaussian log-likelihood of the data around the N x P model mean Lambda eta^T."""
+    if mean.shape != data.values.shape:
+        raise ShapeError("model mean shape does not match the data")
+    resid = data.values - mean
+    sig = residual_variances
     n = data.n_rows
     return float(
         -0.5 * n * np.sum(np.log(2 * np.pi * sig))

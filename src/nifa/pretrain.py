@@ -74,19 +74,6 @@ def kernel_matrix(data: DataMatrix, epsilon_dm: float) -> np.ndarray:
     return np.exp(-sq / epsilon_dm**2)
 
 
-def normalized_laplacian(kernel: np.ndarray, epsilon_dm: float) -> np.ndarray:
-    """Density-normalized graph Laplacian L = (D^-1 W - I) / eps^2."""
-    d = kernel.sum(axis=1)
-    if np.any(d <= 0):
-        raise DegenerateGeometryError("kernel has a zero row sum")
-    w = kernel / np.outer(d, d)
-    row = w.sum(axis=1)
-    if np.any(row <= 0):
-        raise DegenerateGeometryError("normalized kernel has a zero row sum")
-    n = kernel.shape[0]
-    return (w / row[:, None] - np.eye(n)) / epsilon_dm**2
-
-
 def default_epsilon_dm(data: DataMatrix) -> float:
     """Median of pairwise distances."""
     d = pdist(data.values)
@@ -143,12 +130,6 @@ def diffusion_spectrum(data: DataMatrix, cfg: DiffusionConfig):
     return mu[1 : cfg.Q + 1], coords
 
 
-def diffusion_coordinates(data: DataMatrix, cfg: DiffusionConfig) -> np.ndarray:
-    """N x Q matrix of diffusion-map coordinates (unit-norm eigenvector columns)."""
-    _, coords = diffusion_spectrum(data, cfg)
-    return coords
-
-
 def local_covariance(coords: np.ndarray, i: int, epsilon_local: float) -> np.ndarray:
     """Neighborhood scatter matrix at point i, averaged over all N points."""
     if epsilon_local <= 0:
@@ -169,16 +150,11 @@ def mean_local_eigenvalues(coords: np.ndarray, epsilon_local: float) -> np.ndarr
     return acc / n
 
 
-def estimate_dimension(coords: np.ndarray, epsilon_local: float, delta: float) -> int:
-    """Literal eigenvalue-ratio rule K = max{k : mean_{k+1}/mean_k >= delta}.
-
-    Falls back to 1 when no index qualifies.
-    """
-    return _ratio_rule(mean_local_eigenvalues(coords, epsilon_local), delta)
-
-
-def _ratio_rule(lam: np.ndarray, delta: float) -> int:
-    """K = max{k : lam[k+1]/lam[k] >= delta} over mean local eigenvalues, else 1."""
+def estimate_dimension(mean_eigenvalues: np.ndarray, delta: float) -> int:
+    """Literal eigenvalue-ratio rule K = max{k : lam[k+1]/lam[k] >= delta} over
+    the descending mean local eigenvalues lam; falls back to 1 when no index
+    qualifies."""
+    lam = mean_eigenvalues
     if lam.size < 2:
         raise ValueError("need at least 2 embedding coordinates")
     if np.all(lam <= 0):
@@ -233,7 +209,7 @@ def pretrain_with_decisions(data: DataMatrix, cfg: DiffusionConfig, n_pieces: in
     eps_local = (cfg.epsilon_local if cfg.epsilon_local is not None
                  else default_epsilon_local(coords))
     lam = mean_local_eigenvalues(coords, eps_local)
-    k = _ratio_rule(lam, cfg.delta) + cfg.dimension_offset
+    k = estimate_dimension(lam, cfg.delta) + cfg.dimension_offset
     k = max(1, min(k, coords.shape[1]))
     anchors = coords[:, :k]
     variances = np.array(

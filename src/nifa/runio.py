@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,15 @@ def load_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _require_keys(record, keys, path) -> None:
+    """Raise IncompleteRunError unless a JSON record is an object holding every key."""
+    if not isinstance(record, dict):
+        raise IncompleteRunError(f"{path} does not hold a JSON object")
+    missing = [k for k in keys if k not in record]
+    if missing:
+        raise IncompleteRunError(f"{path} lacks {', '.join(missing)}")
+
+
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -82,6 +91,7 @@ def load_anchor_set(anchor_dir) -> AnchorSet:
         raise IncompleteRunError(f"missing anchor artifacts in {anchor_dir}")
     coords, _ = load_matrix(coords_path)
     meta = load_json(meta_path)
+    _require_keys(meta, ("residual_variances", "source"), meta_path)
     return AnchorSet(coords, np.asarray(meta["residual_variances"]), meta["source"])
 
 
@@ -117,7 +127,16 @@ def load_chain(run_dir) -> PosteriorChain:
     missing = [name for name in required if not (run_dir / name).exists()]
     if missing:
         raise IncompleteRunError(f"run directory {run_dir} is missing: {', '.join(missing)}")
-    manifest = load_json(run_dir / "manifest.json")
+    manifest_path = run_dir / "manifest.json"
+    manifest = load_json(manifest_path)
+    _require_keys(manifest, ("n_samples", "assignment", "mala_acceptance_rate",
+                             "block_seconds", "config"), manifest_path)
+    config = manifest["config"]
+    _require_keys(config, (), f"{manifest_path} config")
+    unknown = sorted(config.keys() - {f.name for f in fields(Hyperparameters)})
+    if unknown:
+        raise IncompleteRunError(f"{manifest_path} config has unknown fields: "
+                                 f"{', '.join(unknown)}")
     try:
         with np.load(run_dir / "chain.npz", allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in CHAIN_ARRAYS}
@@ -136,6 +155,6 @@ def load_chain(run_dir) -> PosteriorChain:
         **arrays,
         assignment=FactorAssignment(np.asarray(manifest["assignment"], dtype=int)),
         diagnostics=diagnostics,
-        config=Hyperparameters(**manifest["config"]),
+        config=Hyperparameters(**config),
         anchor=load_anchor_set(run_dir / "anchor"),
     )

@@ -5,13 +5,18 @@ variances (conjugate inverse-Gamma, anchor features held fixed), spline
 coefficients (joint Gaussian truncated to non-negative slopes), latent
 locations (Langevin-proposal Metropolis-Hastings under the uniform-constraint
 prior), and half-Cauchy shrinkage scales (auxiliary inverse-Gamma expansion).
+
+The sweep runs on plain arrays: loadings Lambda (P x H), the (L+1) x H spline
+coefficient matrix (row 0 the intercepts), latent locations U (N x K), residual
+variances sigma^2 (P), local scales gamma (P x H) and the global scale tau.
+Each block takes the arrays it reads and returns the ones it updates.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -21,15 +26,12 @@ from .model import (
     DomainError,
     FactorAssignment,
     Hyperparameters,
-    MonotoneSpline,
-    NiftyState,
-    PiecewiseLinearMap,
     ShapeError,
     eta,
-    factor_matrix,
     log_likelihood,
     spline_basis,
     spline_coefficients,
+    spline_piece,
 )
 from .pretrain import AnchorSet
 
@@ -102,6 +104,8 @@ class PosteriorChain:
     @cached_property
     def samples(self) -> tuple:
         """One NiftyState record per draw, built on first access."""
+        from .model import NiftyState, PiecewiseLinearMap
+
         return tuple(
             NiftyState(lam, tuple(PiecewiseLinearMap(col[0], col[1:]) for col in c.T),
                        u, sig, gam, tau, self.assignment)
@@ -133,18 +137,18 @@ def uniform_penalty_gradient(u_col: np.ndarray) -> np.ndarray:
 
 def loadings_row_posterior(
     j: int,
-    state: NiftyState,
+    eta: np.ndarray,
+    residual_variances: np.ndarray,
+    prior_variances: np.ndarray,
     data: DataMatrix,
-    eta: np.ndarray | None = None,
     gram: np.ndarray | None = None,
 ):
-    """Posterior mean and covariance of loadings row j given everything else."""
-    if eta is None:
-        eta = factor_matrix(state)
+    """Posterior mean and covariance of loadings row j given the N x H factors
+    ``eta`` and the P x H prior variances tau * gamma."""
     if gram is None:
         gram = eta.T @ eta
-    sig = state.residual_variances[j]
-    prior_var = state.global_scale * state.local_scales[j]
+    sig = residual_variances[j]
+    prior_var = prior_variances[j]
     prec = np.diag(1.0 / prior_var) + gram / sig
     try:
         chol = np.linalg.cholesky(prec)
@@ -159,44 +163,44 @@ def loadings_row_posterior(
 
 def sample_loadings_row(
     j: int,
-    state: NiftyState,
+    eta: np.ndarray,
+    residual_variances: np.ndarray,
+    prior_variances: np.ndarray,
     data: DataMatrix,
     rng: np.random.Generator,
-    eta: np.ndarray | None = None,
     gram: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw loadings row j from its conjugate Gaussian conditional."""
-    mean, _, chol = loadings_row_posterior(j, state, data, eta, gram)
+    mean, _, chol = loadings_row_posterior(j, eta, residual_variances, prior_variances,
+                                           data, gram)
     z = rng.standard_normal(mean.size)
     # chol is of the precision; solve L^T x = z for a covariance-root draw
     return mean + np.linalg.solve(chol.T, z)
 
 
 def residual_variance_params(
-    state: NiftyState,
+    eta: np.ndarray,
+    loadings: np.ndarray,
     data: DataMatrix,
     hp: Hyperparameters,
-    eta: np.ndarray | None = None,
 ):
     """Gamma(shape, rate) parameters of each sigma_j^-2 conditional."""
-    if eta is None:
-        eta = factor_matrix(state)
-    resid = data.values - eta @ state.loadings.T
+    resid = data.values - eta @ loadings.T
     shape = hp.a_sigma + data.n_rows / 2.0
     rates = hp.b_sigma + 0.5 * np.sum(resid**2, axis=0)
     return shape, rates
 
 
 def sample_residual_variances(
-    state: NiftyState,
+    eta: np.ndarray,
+    loadings: np.ndarray,
     data: DataMatrix,
     hp: Hyperparameters,
     rng: np.random.Generator,
-    eta: np.ndarray | None = None,
     anchor_variances: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw residual variances; anchor positions keep their fixed values."""
-    shape, rates = residual_variance_params(state, data, hp, eta)
+    shape, rates = residual_variance_params(eta, loadings, data, hp)
     out = 1.0 / rng.gamma(shape, 1.0 / rates)
     if anchor_variances is not None:
         k = len(anchor_variances)
@@ -204,30 +208,32 @@ def sample_residual_variances(
     return out
 
 
-def _location_bases(state: NiftyState) -> list[np.ndarray]:
+def _location_bases(latent_locations: np.ndarray, n_pieces: int) -> list[np.ndarray]:
     """Per-location design [1, clamp basis] matrices, N x (L+1)."""
-    n_pieces = state.splines[0].n_pieces
-    u = state.latent_locations
-    ones = np.ones((state.n_rows, 1))
+    ones = np.ones((latent_locations.shape[0], 1))
     return [
-        np.hstack([ones, spline_basis(u[:, k], n_pieces)])
-        for k in range(state.n_locations)
+        np.hstack([ones, spline_basis(u_col, n_pieces)])
+        for u_col in latent_locations.T
     ]
 
 
-def spline_posterior(state: NiftyState, data: DataMatrix, hp: Hyperparameters):
+def spline_posterior(
+    loadings: np.ndarray,
+    residual_variances: np.ndarray,
+    latent_locations: np.ndarray,
+    assignment: FactorAssignment,
+    data: DataMatrix,
+    hp: Hyperparameters,
+):
     """Precision matrix and linear term of the joint Gaussian over all
     spline coefficients (intercepts first within each factor block)."""
-    n_pieces = state.splines[0].n_pieces
-    if any(s.n_pieces != n_pieces for s in state.splines):
-        raise ValueError("all splines must share the same number of pieces")
-    bases = _location_bases(state)
-    k0 = state.assignment.zero_based
-    lam = state.loadings
-    inv_sig = 1.0 / state.residual_variances
+    bases = _location_bases(latent_locations, hp.L)
+    k0 = assignment.zero_based
+    lam = loadings
+    inv_sig = 1.0 / residual_variances
     cross_lam = (lam * inv_sig[:, None]).T @ lam  # H x H
-    h = state.n_factors
-    width = n_pieces + 1
+    h = assignment.n_factors
+    width = hp.L + 1
     prec = np.eye(h * width) / hp.sigma_a_sq
     lin = np.empty(h * width)
     cross_b = {}
@@ -255,20 +261,25 @@ def _truncated_standard_normal(rng: np.random.Generator, lower: float) -> float:
 
 
 def sample_spline_coefficients(
-    state: NiftyState,
+    coefficients: np.ndarray,
+    loadings: np.ndarray,
+    residual_variances: np.ndarray,
+    latent_locations: np.ndarray,
+    assignment: FactorAssignment,
     data: DataMatrix,
     hp: Hyperparameters,
     rng: np.random.Generator,
     n_sweeps: int = 2,
-) -> tuple:
-    """Draw all spline coefficients jointly, slopes truncated to [0, inf).
+) -> np.ndarray:
+    """Draw the (L+1) x H coefficient matrix jointly, slopes truncated to [0, inf).
 
     Uses a coordinate-wise Gibbs sweep over the exact Gaussian conditional,
     started at the current coefficients.
     """
-    prec, lin = spline_posterior(state, data, hp)
-    width = state.splines[0].n_pieces + 1
-    beta = spline_coefficients(state.splines).ravel(order="F")
+    prec, lin = spline_posterior(loadings, residual_variances, latent_locations, assignment,
+                                 data, hp)
+    width, h = coefficients.shape
+    beta = coefficients.T.flatten()  # factor blocks [intercept, slopes], in factor order
     is_slope = (np.arange(beta.size) % width) != 0
     for _ in range(n_sweeps):
         for c in range(beta.size):
@@ -283,34 +294,36 @@ def sample_spline_coefficients(
                 beta[c] = mean + sd * z
             else:
                 beta[c] = mean + sd * rng.standard_normal()
-    return tuple(
-        MonotoneSpline(beta[h * width], np.maximum(beta[h * width + 1 : (h + 1) * width], 0.0))
-        for h in range(state.n_factors)
-    )
+    out = beta.reshape(h, width).T.copy()
+    out[1:] = np.maximum(out[1:], 0.0)
+    return out
 
 
-def _u_target_raw(
+def u_log_target(
     u: np.ndarray,
-    state: NiftyState,
+    coefficients: np.ndarray,
+    loadings: np.ndarray,
+    residual_variances: np.ndarray,
+    assignment: FactorAssignment,
     data: DataMatrix,
     nu: float,
 ):
-    """Log conditional density of the latent locations and its gradient.
+    """Log conditional density of the latent locations u and its N x K gradient.
 
     Returns (-inf, zeros) when any coordinate leaves [0,1].
     """
     if np.any(u < 0) or np.any(u > 1):
         return -np.inf, np.zeros_like(u)
-    k0 = state.assignment.zero_based
-    factors = eta(spline_coefficients(state.splines), u, state.assignment)
-    resid = data.values - factors @ state.loadings.T
-    inv_sig = 1.0 / state.residual_variances
+    k0 = assignment.zero_based
+    resid = data.values - eta(coefficients, u, assignment) @ loadings.T
+    inv_sig = 1.0 / residual_variances
     value = -0.5 * float(np.sum(resid**2 * inv_sig))
     weighted = resid * inv_sig  # N x P
+    slope_rows = 1 + spline_piece(u, coefficients.shape[0] - 1)  # dg/du sits in these rows
     grad = np.zeros_like(u)
-    for h, g in enumerate(state.splines):
-        pull = weighted @ state.loadings[:, h]
-        grad[:, k0[h]] += pull * g.derivative(u[:, k0[h]])
+    for h, k in enumerate(k0):
+        pull = weighted @ loadings[:, h]
+        grad[:, k] += pull * coefficients[slope_rows[:, k], h]
     if nu > 0:
         for kk in range(u.shape[1]):
             value -= nu * uniform_penalty(u[:, kk])
@@ -318,52 +331,46 @@ def _u_target_raw(
     return value, grad
 
 
-def u_log_target(state: NiftyState, data: DataMatrix, nu: float):
-    """Log conditional of the current latent locations plus its N x K gradient."""
-    return _u_target_raw(state.latent_locations, state, data, nu)
-
-
-def mala_step(
-    state: NiftyState,
-    data: DataMatrix,
-    epsilon: float,
-    rng: np.random.Generator,
-    nu: float,
-):
+def mala_step(u: np.ndarray, log_target, epsilon: float, rng: np.random.Generator):
     """One Langevin-proposal Metropolis-Hastings update of all latent locations.
 
-    Returns (new u matrix, accepted). Proposals leaving [0,1] are rejected.
+    ``log_target(u)`` returns the log density and its gradient. Returns
+    (new u matrix, accepted). Proposals leaving [0,1] are rejected.
     """
     if epsilon <= 0:
         raise ValueError("step size must be positive")
-    u = state.latent_locations
-    v0, g0 = _u_target_raw(u, state, data, nu)
+    v0, g0 = log_target(u)
     noise = rng.standard_normal(u.shape)
     prop = u + epsilon * g0 + np.sqrt(2.0 * epsilon) * noise
     if np.any(prop < 0) or np.any(prop > 1):
-        return u.copy(), False
-    v1, g1 = _u_target_raw(prop, state, data, nu)
+        return u, False
+    v1, g1 = log_target(prop)
     fwd = np.sum((prop - u - epsilon * g0) ** 2)
     bwd = np.sum((u - prop - epsilon * g1) ** 2)
     log_alpha = v1 - v0 + (fwd - bwd) / (4.0 * epsilon)
     if np.log(rng.uniform()) < log_alpha:
         return prop, True
-    return u.copy(), False
+    return u, False
 
 
 def _inv_gamma(rng: np.random.Generator, shape, scale):
     return scale / rng.gamma(shape, 1.0, size=np.shape(scale))
 
 
-def sample_shrinkage(state: NiftyState, rng: np.random.Generator):
+def sample_shrinkage(
+    loadings: np.ndarray,
+    local_scales: np.ndarray,
+    global_scale: float,
+    rng: np.random.Generator,
+):
     """Update the half-Cauchy local and global shrinkage scales.
 
     Each half-Cauchy scale is expanded with one auxiliary inverse-Gamma
     variable, making both conditionals closed-form inverse-Gamma.
     """
-    lam2 = state.loadings**2
-    gamma = state.local_scales
-    tau = state.global_scale
+    lam2 = loadings**2
+    gamma = local_scales
+    tau = global_scale
     aux_local = _inv_gamma(rng, 1.0, 1.0 + 1.0 / gamma)
     gamma_new = _inv_gamma(rng, 1.0, 1.0 / aux_local + lam2 / (2.0 * tau))
     aux_global = float(_inv_gamma(rng, 1.0, np.array(1.0 + 1.0 / tau)))
@@ -379,25 +386,32 @@ def sample_shrinkage(state: NiftyState, rng: np.random.Generator):
 
 
 def log_joint(
-    state: NiftyState,
+    loadings: np.ndarray,
+    spline_coefficients: np.ndarray,
+    latent_locations: np.ndarray,
+    residual_variances: np.ndarray,
+    local_scales: np.ndarray,
+    global_scale: float,
+    assignment: FactorAssignment,
     data: DataMatrix,
     hp: Hyperparameters,
     n_anchor: int = 0,
 ) -> float:
     """Joint log posterior density up to an additive constant."""
-    value = log_likelihood(state, data)
-    lam2 = state.loadings**2
-    prior_var = state.global_scale * state.local_scales
+    factors = eta(spline_coefficients, latent_locations, assignment)
+    value = log_likelihood(factors @ loadings.T, residual_variances, data)
+    lam2 = loadings**2
+    prior_var = global_scale * local_scales
     value -= 0.5 * float(np.sum(np.log(prior_var) + lam2 / prior_var))
-    sig = state.residual_variances[n_anchor:]
+    sig = residual_variances[n_anchor:]
     value += float(np.sum(-(hp.a_sigma + 1) * np.log(sig) - hp.b_sigma / sig))
-    for g in state.splines:
-        value -= 0.5 * (g.intercept**2 + float(np.sum(g.slopes**2))) / hp.sigma_a_sq
-    for k in range(state.n_locations):
-        value -= hp.nu * uniform_penalty(state.latent_locations[:, k])
+    for c in spline_coefficients.T:
+        value -= 0.5 * (float(c[0]) ** 2 + float(np.sum(c[1:] ** 2))) / hp.sigma_a_sq
+    for u_col in latent_locations.T:
+        value -= hp.nu * uniform_penalty(u_col)
     # shrinkage scales: half-Cauchy on the square roots, so the density of
     # the variance multipliers is proportional to s^(-1/2) / (1 + s)
-    for s in (state.local_scales, np.array(state.global_scale)):
+    for s in (local_scales, np.array(global_scale)):
         value -= float(np.sum(0.5 * np.log(s) + np.log1p(s)))
     return value
 
@@ -407,8 +421,9 @@ def initial_state(
     anchor: AnchorSet,
     hp: Hyperparameters,
     assignment: FactorAssignment,
-) -> NiftyState:
-    """Deterministic data-driven starting point.
+) -> dict:
+    """Deterministic data-driven starting point, as a dict of the arrays named
+    in ``CHAIN_ARRAYS``.
 
     Latent locations are the empirical ranks of the anchor columns, splines
     start as the identity map, loadings come from least squares of the data
@@ -423,29 +438,28 @@ def initial_state(
         ranks = np.empty(n)
         ranks[np.argsort(anchor.coordinates[:, kk], kind="stable")] = np.arange(1, n + 1)
         u[:, kk] = ranks / n
-    splines = tuple(
-        MonotoneSpline(0.0, np.ones(hp.L)) for _ in range(h)
-    )
-    eta = np.column_stack([u[:, assignment.zero_based[hh]] for hh in range(h)])
-    lam = np.linalg.lstsq(eta, data.values, rcond=None)[0].T
+    coefficients = np.ones((hp.L + 1, h))
+    coefficients[0] = 0.0
+    lam = np.linalg.lstsq(u[:, assignment.zero_based], data.values, rcond=None)[0].T
     sigma2 = np.full(p, 0.01)
     sigma2[:k] = anchor.residual_variances
-    return NiftyState(
-        loadings=lam,
-        splines=splines,
-        latent_locations=u,
-        residual_variances=sigma2,
-        local_scales=np.ones((p, h)),
-        global_scale=1.0,
-        assignment=assignment,
-    )
+    return dict(zip(CHAIN_ARRAYS, (lam, coefficients, u, sigma2, np.ones((p, h)), 1.0)))
 
 
-def _require_finite(t: int, **arrays) -> None:
-    """Raise, naming sweep t, if an updated state array is not finite."""
+_POSITIVE = ("residual_variances", "local_scales", "global_scale")
+
+
+def _require_valid(t: int, **arrays) -> None:
+    """Raise RuntimeError, naming sweep t, if a state array is non-finite, a
+    variance or scale is not positive, or a latent location leaves [0,1]."""
     for name, arr in arrays.items():
+        label = name.replace("_", " ")
         if not np.all(np.isfinite(arr)):
-            raise RuntimeError(f"non-finite {name.replace('_', ' ')} at sweep {t}")
+            raise RuntimeError(f"non-finite {label} at sweep {t}")
+        if name in _POSITIVE and np.any(arr <= 0):
+            raise RuntimeError(f"non-positive {label} at sweep {t}")
+        if name == "latent_locations" and (np.any(arr < 0) or np.any(arr > 1)):
+            raise RuntimeError(f"{label} outside [0,1] at sweep {t}")
 
 
 def run_chain(
@@ -457,7 +471,8 @@ def run_chain(
     """Run the full Gibbs sampler and return the retained posterior chain.
 
     ``data`` must already carry the anchor columns as its first K features.
-    Raises RuntimeError at the sweep where a non-finite value first appears.
+    Each block's output is checked as it is drawn; RuntimeError names the
+    sweep where a state array first turns non-finite or leaves its domain.
     """
     k = anchor.n_anchors
     if assignment.n_locations != k:
@@ -469,47 +484,50 @@ def run_chain(
 
     rng = np.random.default_rng(hp.seed)
     state = initial_state(data, anchor, hp, assignment)
+    lam, coef, u, sigma2, gamma, tau = state.values()
     p = data.n_features
     log_eps = np.log(hp.mala_step)
     fixed_sigma_until = min(1000, hp.burn_in)
 
-    samples: list[NiftyState] = []
-    trace: list[float] = []
+    n_draws = len(range(hp.burn_in, hp.iterations, hp.thin))
+    draws = {name: np.empty((n_draws, *np.shape(a))) for name, a in state.items()}
+    trace = np.empty(n_draws)
     block_seconds = np.zeros(5)
     accept_count = 0
     post_burn_steps = 0
 
     for t in range(hp.iterations):
-        eta = factor_matrix(state)
-        gram = eta.T @ eta
+        factors = eta(coef, u, assignment)
+        gram = factors.T @ factors
 
         t0 = time.perf_counter()
+        prior_var = tau * gamma
         lam = np.vstack(
             [
-                sample_loadings_row(j, state, data, rng, eta=eta, gram=gram)
+                sample_loadings_row(j, factors, sigma2, prior_var, data, rng, gram=gram)
                 for j in range(p)
             ]
         )
-        _require_finite(t, loadings=lam)
-        state = replace(state, loadings=lam)
+        _require_valid(t, loadings=lam)
         t1 = time.perf_counter()
 
         if t >= fixed_sigma_until:
             sigma2 = sample_residual_variances(
-                state, data, hp, rng, eta=eta, anchor_variances=anchor.residual_variances
+                factors, lam, data, hp, rng, anchor_variances=anchor.residual_variances
             )
-            _require_finite(t, residual_variances=sigma2)
-            state = replace(state, residual_variances=sigma2)
+            _require_valid(t, residual_variances=sigma2)
         t2 = time.perf_counter()
 
-        splines = sample_spline_coefficients(state, data, hp, rng)
-        _require_finite(t, spline_intercepts=[g.intercept for g in splines])
-        state = replace(state, splines=splines)
+        coef = sample_spline_coefficients(coef, lam, sigma2, u, assignment, data, hp, rng)
+        _require_valid(t, spline_coefficients=coef)
         t3 = time.perf_counter()
 
         epsilon = float(np.exp(log_eps))
-        u_new, accepted = mala_step(state, data, epsilon, rng, hp.nu)
-        state = replace(state, latent_locations=u_new)
+        target = partial(u_log_target, coefficients=coef, loadings=lam,
+                         residual_variances=sigma2, assignment=assignment, data=data,
+                         nu=hp.nu)
+        u, accepted = mala_step(u, target, epsilon, rng)
+        _require_valid(t, latent_locations=u)
         if t < hp.burn_in:
             log_eps += 0.05 * ((1.0 if accepted else 0.0) - MALA_TARGET_ACCEPTANCE)
         else:
@@ -517,22 +535,24 @@ def run_chain(
             accept_count += int(accepted)
         t4 = time.perf_counter()
 
-        gamma, tau = sample_shrinkage(state, rng)
-        _require_finite(t, local_scales=gamma, global_scale=tau)
-        state = replace(state, local_scales=gamma, global_scale=tau)
+        gamma, tau = sample_shrinkage(lam, gamma, tau, rng)
+        _require_valid(t, local_scales=gamma, global_scale=tau)
         t5 = time.perf_counter()
 
         block_seconds += (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)
 
         if t >= hp.burn_in and (t - hp.burn_in) % hp.thin == 0:
-            lp = log_joint(state, data, hp, n_anchor=k)
-            _require_finite(t, log_posterior=lp)
-            samples.append(state)
-            trace.append(lp)
+            m = (t - hp.burn_in) // hp.thin
+            state = dict(zip(CHAIN_ARRAYS, (lam, coef, u, sigma2, gamma, tau)))
+            trace[m] = log_joint(**state, assignment=assignment, data=data, hp=hp, n_anchor=k)
+            _require_valid(t, log_posterior=trace[m])
+            for name, arr in state.items():
+                draws[name][m] = arr
 
     diagnostics = ChainDiagnostics(
-        log_posterior_trace=np.asarray(trace),
+        log_posterior_trace=trace,
         mala_acceptance_rate=(accept_count / post_burn_steps) if post_burn_steps else 0.0,
         block_seconds=block_seconds,
     )
-    return PosteriorChain.from_states(samples, diagnostics, hp, anchor)
+    return PosteriorChain(**draws, assignment=assignment, diagnostics=diagnostics, config=hp,
+                          anchor=anchor)

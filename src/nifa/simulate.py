@@ -102,10 +102,3 @@ def posterior_predictive_array(
             chain.residual_variances[m]
         )
     return out
-
-
-def posterior_predictive(
-    chain: PosteriorChain, n_new: int, rng: np.random.Generator | int
-) -> DataMatrix:
-    """Generate new rows: pick a retained sample, draw u ~ U(0,1)^K, add noise."""
-    return DataMatrix(posterior_predictive_array(chain, n_new, rng))

@@ -8,7 +8,7 @@ The whole module takes roughly ten minutes on a single laptop core.
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from functools import partial
 from itertools import permutations, product
 
 from nifa.metrics import (
@@ -22,9 +22,9 @@ from nifa.model import (
     DataMatrix,
     FactorAssignment,
     Hyperparameters,
-    MonotoneSpline,
-    NiftyState,
-    model_mean_matrix,
+    PiecewiseLinearMap,
+    eta,
+    spline_coefficients,
     spline_eval,
 )
 from nifa.postprocess import match_align, postprocess_chain
@@ -228,19 +228,25 @@ def test_criterion_4_postprocessing(capsys):
 
 
 def _random_state(rng, n=12, p=4, h=2, k=2, L=5):
-    asg = FactorAssignment.round_robin(h, k)
-    splines = tuple(
-        MonotoneSpline(rng.normal(), np.abs(rng.normal(size=L))) for _ in range(h)
+    coef = np.column_stack([
+        np.concatenate([[rng.normal()], np.abs(rng.normal(size=L))]) for _ in range(h)
+    ])
+    return dict(
+        loadings=rng.normal(size=(p, h)),
+        spline_coefficients=coef,
+        latent_locations=rng.uniform(0.05, 0.95, size=(n, k)),
+        residual_variances=rng.uniform(0.3, 1.5, size=p),
+        local_scales=rng.uniform(0.5, 2.0, size=(p, h)),
+        global_scale=1.2,
+        assignment=FactorAssignment.round_robin(h, k),
     )
-    return NiftyState(
-        rng.normal(size=(p, h)),
-        splines,
-        rng.uniform(0.05, 0.95, size=(n, k)),
-        rng.uniform(0.3, 1.5, size=p),
-        rng.uniform(0.5, 2.0, size=(p, h)),
-        1.2,
-        asg,
-    )
+
+
+def _u_target(state, data, nu):
+    """The latent-location log target of a state as a function of u alone."""
+    return partial(u_log_target, coefficients=state["spline_coefficients"],
+                   loadings=state["loadings"], residual_variances=state["residual_variances"],
+                   assignment=state["assignment"], data=data, nu=nu)
 
 
 def test_criterion_5a_gradient(capsys):
@@ -249,17 +255,18 @@ def test_criterion_5a_gradient(capsys):
     data = DataMatrix(rng.normal(size=(12, 4)))
     worst = 0.0
     for _ in range(100):
-        _, grad = u_log_target(state, data, nu=1e3)
+        target = _u_target(state, data, nu=1e3)
+        _, grad = target(state["latent_locations"])
         i = rng.integers(12)
         k = rng.integers(2)
         eps = 1e-6
         for sign in (1,):
-            u_hi = state.latent_locations.copy()
-            u_lo = state.latent_locations.copy()
+            u_hi = state["latent_locations"].copy()
+            u_lo = state["latent_locations"].copy()
             u_hi[i, k] += eps
             u_lo[i, k] -= eps
-            hi, _ = u_log_target(replace(state, latent_locations=u_hi), data, nu=1e3)
-            lo, _ = u_log_target(replace(state, latent_locations=u_lo), data, nu=1e3)
+            hi, _ = target(u_hi)
+            lo, _ = target(u_lo)
             fd = (hi - lo) / (2 * eps)
             rel = abs(fd - grad[i, k]) / max(abs(fd), 1e-12)
             worst = max(worst, rel)
@@ -272,40 +279,36 @@ def test_criterion_5a_gradient(capsys):
 def test_criterion_5b_conjugate_blocks(capsys):
     rng = np.random.default_rng(7)
     asg = FactorAssignment.round_robin(1, 1)
-    g = MonotoneSpline(0.2, np.array([0.8, 1.1, 0.6]))
+    g = PiecewiseLinearMap(0.2, np.array([0.8, 1.1, 0.6]))
     n = 8
-    state = NiftyState(
-        np.array([[0.7]]),
-        (g,),
-        rng.uniform(0.1, 0.9, size=(n, 1)),
-        np.array([0.4]),
-        np.array([[0.9]]),
-        1.1,
-        asg,
-    )
+    lam = np.array([[0.7]])
+    u = rng.uniform(0.1, 0.9, size=(n, 1))
+    sig = np.array([0.4])
+    prior_var = 1.1 * np.array([[0.9]])
     data = DataMatrix(rng.normal(size=(n, 1)))
     hp = Hyperparameters(a_sigma=3.0, b_sigma=0.5, sigma_a_sq=1.0, L=3)
+    factors = eta(spline_coefficients((g,)), u, asg)
 
     # loadings row: quadrature over a dense grid of the exact conditional
-    mean, _, _ = loadings_row_posterior(0, state, data)
+    mean, _, _ = loadings_row_posterior(0, factors, sig, prior_var, data)
     grid = np.linspace(-30, 30, 1_200_001)
-    eta = spline_eval(g, state.latent_locations[:, 0])
+    eta_u = spline_eval(g, u[:, 0])
     loglik = -0.5 * np.sum(
-        (data.values[:, 0][:, None] - np.outer(eta, grid)) ** 2, axis=0
+        (data.values[:, 0][:, None] - np.outer(eta_u, grid)) ** 2, axis=0
     ) / 0.4
     logpri = -0.5 * grid**2 / (1.1 * 0.9)
     w = np.exp(loglik + logpri - np.max(loglik + logpri))
     err_lam = abs(float(mean[0]) - float(np.sum(grid * w) / np.sum(w)))
 
     # residual variance: closed-form inverse-gamma mean vs quadrature
-    shape, rates = residual_variance_params(state, data, hp)
+    shape, rates = residual_variance_params(factors, lam, data, hp)
     sgrid = np.linspace(1e-6, 50, 2_000_001)
     logp = -(shape + 1) * np.log(sgrid) - rates[0] / sgrid
     wq = np.exp(logp - logp.max())
     err_sig = abs(float(rates[0] / (shape - 1)) - float(np.sum(sgrid * wq) / np.sum(wq)))
 
     # spline block: conditional mean of the intercept coordinate
-    prec, lin = spline_posterior(state, data, hp)
+    prec, lin = spline_posterior(lam, sig, u, asg, data, hp)
     beta = np.concatenate([[g.intercept], g.slopes])
     c = 0
     cond_mean = (lin[c] - prec[c] @ beta + prec[c, c] * beta[c]) / prec[c, c]
@@ -330,56 +333,68 @@ _GEWEKE_LOCAL = 0.25
 _GEWEKE_EPS = 0.001
 
 
+_GEWEKE_ASSIGNMENT = FactorAssignment.round_robin(1, 1)
+_GEWEKE_PRIOR_VAR = 1.0 * _GEWEKE_LOCAL * np.ones((_GEWEKE_P, 1))  # tau * gamma, held fixed
+
+
 def _geweke_prior(rng):
     lam = 0.5 * rng.standard_normal((_GEWEKE_P, 1))
     sig = np.empty(_GEWEKE_P)
     sig[0] = _GEWEKE_ANCHOR_VAR
     sig[1:] = 1.0 / rng.gamma(_GEWEKE_HP.a_sigma, 1.0 / _GEWEKE_HP.b_sigma, size=_GEWEKE_P - 1)
     sd = np.sqrt(_GEWEKE_HP.sigma_a_sq)
-    g = MonotoneSpline(sd * rng.standard_normal(), sd * np.abs(rng.standard_normal(_GEWEKE_L)))
-    return NiftyState(
-        lam,
-        (g,),
-        rng.uniform(size=(_GEWEKE_N, 1)),
-        sig,
-        _GEWEKE_LOCAL * np.ones((_GEWEKE_P, 1)),
-        1.0,
-        FactorAssignment.round_robin(1, 1),
+    coef = np.concatenate([[sd * rng.standard_normal()],
+                           sd * np.abs(rng.standard_normal(_GEWEKE_L))])[:, None]
+    return dict(
+        loadings=lam,
+        spline_coefficients=coef,
+        latent_locations=rng.uniform(size=(_GEWEKE_N, 1)),
+        residual_variances=sig,
     )
+
+
+def _geweke_factors(state):
+    return eta(state["spline_coefficients"], state["latent_locations"], _GEWEKE_ASSIGNMENT)
 
 
 def _geweke_data(state, rng):
-    mean = model_mean_matrix(state)
+    mean = _geweke_factors(state) @ state["loadings"].T
     noise = rng.standard_normal((_GEWEKE_N, _GEWEKE_P))
-    return DataMatrix(mean + noise * np.sqrt(state.residual_variances))
+    return DataMatrix(mean + noise * np.sqrt(state["residual_variances"]))
 
 
 def _geweke_sweep(state, data, rng):
+    factors = _geweke_factors(state)
+    sig = state["residual_variances"]
     lam = np.vstack(
-        [sample_loadings_row(j, state, data, rng) for j in range(_GEWEKE_P)]
+        [sample_loadings_row(j, factors, sig, _GEWEKE_PRIOR_VAR, data, rng)
+         for j in range(_GEWEKE_P)]
     )
-    state = replace(state, loadings=lam)
     sig = sample_residual_variances(
-        state, data, _GEWEKE_HP, rng, anchor_variances=np.array([_GEWEKE_ANCHOR_VAR])
+        factors, lam, data, _GEWEKE_HP, rng, anchor_variances=np.array([_GEWEKE_ANCHOR_VAR])
     )
-    state = replace(state, residual_variances=sig)
-    state = replace(state, splines=sample_spline_coefficients(state, data, _GEWEKE_HP, rng))
+    u = state["latent_locations"]
+    coef = sample_spline_coefficients(state["spline_coefficients"], lam, sig, u,
+                                      _GEWEKE_ASSIGNMENT, data, _GEWEKE_HP, rng)
+    target = partial(u_log_target, coefficients=coef, loadings=lam, residual_variances=sig,
+                     assignment=_GEWEKE_ASSIGNMENT, data=data, nu=0.0)
     for _ in range(10):
-        u, _ = mala_step(state, data, _GEWEKE_EPS, rng, nu=0.0)
-        state = replace(state, latent_locations=u)
-    return state
+        u, _ = mala_step(u, target, _GEWEKE_EPS, rng)
+    return dict(loadings=lam, spline_coefficients=coef, latent_locations=u,
+                residual_variances=sig)
 
 
 def _geweke_moments(state, data):
-    g = state.splines[0]
+    lam, coef = state["loadings"], state["spline_coefficients"]
+    u, sig = state["latent_locations"], state["residual_variances"]
     x = data.values
     return np.array([
-        state.loadings.mean(), (state.loadings ** 2).mean(),
-        state.residual_variances[1:].mean(),
-        state.latent_locations.mean(), (state.latent_locations ** 2).mean(),
-        g.intercept, g.slopes.mean(),
+        lam.mean(), (lam ** 2).mean(),
+        sig[1:].mean(),
+        u.mean(), (u ** 2).mean(),
+        coef[0, 0], coef[1:, 0].mean(),
         x.mean(), (x ** 2).mean(),
-        float(state.loadings[1, 0] * x[:, 1].mean()),
+        float(lam[1, 0] * x[:, 1].mean()),
     ])
 
 

@@ -207,8 +207,8 @@ class TestExitCodes:
 
         original = nifa.sampler.sample_shrinkage
 
-        def poisoned(state, rng):
-            gamma, _ = original(state, rng)
+        def poisoned(*args):
+            gamma, _ = original(*args)
             return gamma, np.nan
 
         monkeypatch.setattr(nifa.sampler, "sample_shrinkage", poisoned)
@@ -227,6 +227,24 @@ class TestExitCodes:
         lam[:, :, 0] = 0.0
         save_chain(tmp_path / "run", replace(chain, loadings=lam))
         assert run("postprocess", tmp_path / "run") == 1
+
+    @pytest.mark.parametrize("command, corrupt", [
+        ("postprocess", lambda manifest: {}),
+        ("generate", lambda manifest: {**manifest,
+                                       "config": {**manifest["config"], "unknown": 1}}),
+    ], ids=["empty_manifest", "unknown_config_field"])
+    def test_malformed_manifest_is_input_error(self, workspace, tmp_path, capsys, command,
+                                               corrupt):
+        import shutil
+
+        from nifa.runio import save_json
+
+        run_dir = tmp_path / "run"
+        shutil.copytree(workspace / "run", run_dir)
+        save_json(run_dir / "manifest.json", corrupt(load_json(run_dir / "manifest.json")))
+        extra = ["--n", "5", "--out", tmp_path / "g.csv"] if command == "generate" else []
+        assert run(command, run_dir, *extra) == 2
+        assert "manifest.json" in capsys.readouterr().err
 
 
 class TestPretrainPass:
@@ -265,6 +283,7 @@ class TestPretrainPass:
 class TestColumnarStages:
     def test_postprocess_and_generate_build_no_state_records(self, workspace, tmp_path,
                                                              monkeypatch):
+        # fit, postprocess and generate all run on arrays
         from nifa.model import NiftyState
 
         builds = []
@@ -275,6 +294,9 @@ class TestColumnarStages:
             original(self)
 
         monkeypatch.setattr(NiftyState, "__post_init__", counted)
+        assert run("fit", "--input", workspace / "data.csv", "--anchor-dir",
+                   workspace / "anchors", "--out", tmp_path / "fit", "--iterations", "30",
+                   "--burn-in", "10", "--pieces", "8") == 0
         assert run("postprocess", workspace / "run") == 0
         assert run("generate", workspace / "run", "--n", "10", "--seed", "0",
                    "--out", tmp_path / "g.csv") == 0

@@ -16,10 +16,11 @@ from nifa.model import (
     DomainError,
     FactorAssignment,
     Hyperparameters,
-    MonotoneSpline,
     NiftyState,
+    PiecewiseLinearMap,
     ShapeError,
-    factor_matrix,
+    eta,
+    spline_coefficients,
 )
 from nifa.pretrain import AnchorSet
 from nifa.sampler import ChainDiagnostics, PosteriorChain
@@ -165,9 +166,9 @@ def linear_chain(n=400, p=5, h=2, seed=0, eta_law="normal"):
         knots = np.linspace(0, 1, L + 1)
         vals = norm.ppf(np.clip(knots, 1e-6, 1 - 1e-6))
         slopes = np.diff(vals) * L
-        splines = [MonotoneSpline(vals[0], slopes) for _ in range(h)]
+        splines = [PiecewiseLinearMap(vals[0], slopes) for _ in range(h)]
     else:
-        splines = [MonotoneSpline(0.0, np.ones(L) * 2.0) for _ in range(h)]
+        splines = [PiecewiseLinearMap(0.0, np.ones(L) * 2.0) for _ in range(h)]
         u = rng.beta(0.4, 0.4, size=(n, h))
     state = NiftyState(
         loadings=lam,
@@ -178,8 +179,8 @@ def linear_chain(n=400, p=5, h=2, seed=0, eta_law="normal"):
         global_scale=1.0,
         assignment=FactorAssignment.round_robin(h, h),
     )
-    eta = factor_matrix(state)
-    data = DataMatrix(eta @ lam.T + 0.2 * rng.standard_normal((n, p)))
+    factors = eta(spline_coefficients(state.splines), u, state.assignment)
+    data = DataMatrix(factors @ lam.T + 0.2 * rng.standard_normal((n, p)))
     chain = PosteriorChain.from_states(
         (state,), ChainDiagnostics(np.zeros(1), 0.5, np.zeros(5)),
         Hyperparameters(L=L),

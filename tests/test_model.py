@@ -6,17 +6,14 @@ from nifa.model import (
     DomainError,
     FactorAssignment,
     Hyperparameters,
-    MonotoneSpline,
     NiftyState,
     PiecewiseLinearMap,
     ShapeError,
-    factor_matrix,
-    factor_transform,
+    eta,
     log_likelihood,
-    model_mean,
-    model_mean_matrix,
     spline_basis,
-    spline_eval,
+    spline_coefficients,
+    spline_piece,
 )
 
 
@@ -25,7 +22,7 @@ def make_state(n=6, p=3, h=2, k=2, L=4, seed=0):
     return NiftyState(
         loadings=rng.standard_normal((p, h)),
         splines=tuple(
-            MonotoneSpline(rng.standard_normal(), rng.uniform(0.1, 2.0, L))
+            PiecewiseLinearMap(rng.standard_normal(), rng.uniform(0.1, 2.0, L))
             for _ in range(h)
         ),
         latent_locations=rng.uniform(size=(n, k)),
@@ -118,23 +115,16 @@ class TestPiecewiseLinearMap:
             g(np.array([-0.1, 0.5]))
 
     def test_derivative_picks_piece(self):
-        g = PiecewiseLinearMap(0.0, np.array([1.0, 3.0]))
-        assert g.derivative(np.array([0.1, 0.9]))[0] == 1.0
-        assert g.derivative(np.array([0.1, 0.9]))[1] == 3.0
-        # at u=1 the last piece applies
-        assert g.derivative(np.array([1.0]))[0] == 3.0
-
-    def test_scaled(self):
-        g = PiecewiseLinearMap(2.0, np.array([1.0, 1.0]))
-        assert np.allclose(g.scaled(-0.5)(np.array([0.0, 1.0])), [-1.0, -1.5])
-
-    def test_monotone_rejects_negative_slope(self):
-        with pytest.raises(ValueError):
-            MonotoneSpline(0.0, np.array([1.0, -0.1]))
+        slopes = np.array([1.0, 3.0])
+        assert slopes[spline_piece(np.array([0.1, 0.9]), 2)][0] == 1.0
+        assert slopes[spline_piece(np.array([0.1, 0.9]), 2)][1] == 3.0
+        # at a knot the right piece applies; at u=1 the last piece does
+        assert slopes[spline_piece(np.array([0.5]), 2)][0] == 3.0
+        assert slopes[spline_piece(np.array([1.0]), 2)][0] == 3.0
 
     def test_monotone_nondecreasing(self):
         rng = np.random.default_rng(9)
-        g = MonotoneSpline(rng.standard_normal(), rng.uniform(0, 2, 10))
+        g = PiecewiseLinearMap(rng.standard_normal(), rng.uniform(0, 2, 10))
         u = np.sort(rng.uniform(size=50))
         assert np.all(np.diff(g(u)) >= -1e-12)
 
@@ -142,15 +132,11 @@ class TestPiecewiseLinearMap:
 class TestState:
     def test_factor_matrix_matches_rowwise(self):
         st = make_state()
-        eta = factor_matrix(st)
+        factors = eta(spline_coefficients(st.splines), st.latent_locations, st.assignment)
+        k0 = st.assignment.zero_based
         for i in range(st.n_rows):
-            assert np.allclose(eta[i], factor_transform(st, i))
-
-    def test_model_mean_consistency(self):
-        st = make_state(seed=4)
-        mm = model_mean_matrix(st)
-        for i in range(st.n_rows):
-            assert np.allclose(mm[i], model_mean(st, i))
+            u = st.latent_locations[i]
+            assert np.allclose(factors[i], [g(u[k0[h]]) for h, g in enumerate(st.splines)])
 
     def test_rejects_out_of_range_locations(self):
         st = make_state()
@@ -180,16 +166,18 @@ class TestLogLikelihood:
         st = make_state(seed=7)
         rng = np.random.default_rng(11)
         data = DataMatrix(rng.standard_normal((st.n_rows, st.n_features)))
-        mm = model_mean_matrix(st)
+        mm = rng.standard_normal((st.n_rows, st.n_features))
         expected = norm.logpdf(
             data.values, loc=mm, scale=np.sqrt(st.residual_variances)
         ).sum()
-        assert log_likelihood(st, data) == pytest.approx(expected, rel=1e-12)
+        assert log_likelihood(mm, st.residual_variances, data) == pytest.approx(expected,
+                                                                               rel=1e-12)
 
     def test_shape_mismatch(self):
         st = make_state()
+        data = DataMatrix(np.ones((st.n_rows, st.n_features + 1)))
         with pytest.raises(ShapeError):
-            log_likelihood(st, DataMatrix(np.ones((st.n_rows, st.n_features + 1))))
+            log_likelihood(np.zeros((st.n_rows, st.n_features)), st.residual_variances, data)
 
 
 class TestHyperparameters:

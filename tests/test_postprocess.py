@@ -4,7 +4,6 @@ import pytest
 from nifa.model import (
     FactorAssignment,
     Hyperparameters,
-    MonotoneSpline,
     NiftyState,
     PiecewiseLinearMap,
     spline_coefficients,
@@ -36,7 +35,7 @@ def base_state(seed=0, p=6, h=4, k=2, L=5):
     return NiftyState(
         loadings=rng.standard_normal((p, h)),
         splines=tuple(
-            MonotoneSpline(rng.standard_normal() * 0.2, rng.uniform(0.1, 1.0, L))
+            PiecewiseLinearMap(rng.standard_normal() * 0.2, rng.uniform(0.1, 1.0, L))
             for _ in range(h)
         ),
         latent_locations=rng.uniform(size=(12, k)),

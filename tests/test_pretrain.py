@@ -12,13 +12,11 @@ from nifa.pretrain import (
     anchors_from_external,
     default_epsilon_dm,
     default_epsilon_local,
-    diffusion_coordinates,
     diffusion_spectrum,
     estimate_dimension,
     kernel_matrix,
     local_covariance,
     mean_local_eigenvalues,
-    normalized_laplacian,
     run_pretraining,
 )
 from nifa.simulate import gen_swiss_roll
@@ -50,6 +48,15 @@ class TestKernel:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             kernel_matrix(DataMatrix(np.eye(3)), 0.0)
+
+
+def normalized_laplacian(kernel: np.ndarray, epsilon_dm: float) -> np.ndarray:
+    """Oracle for diffusion_spectrum: the density-normalized graph Laplacian
+    L = (D^-1 W - I) / eps^2 with W = K / (d d^T), built densely."""
+    d = kernel.sum(axis=1)
+    w = kernel / np.outer(d, d)
+    row = w.sum(axis=1)
+    return (w / row[:, None] - np.eye(kernel.shape[0])) / epsilon_dm**2
 
 
 class TestLaplacian:
@@ -106,7 +113,7 @@ class TestSpectrum:
     def test_circle_first_coordinate_tracks_angle(self):
         # on a circle the leading nontrivial eigenfunctions are sin/cos of angle
         dm, t = circle_data(80, seed=9)
-        coords = diffusion_coordinates(dm, DiffusionConfig(Q=2))
+        _, coords = diffusion_spectrum(dm, DiffusionConfig(Q=2))
         phase = np.arctan2(coords[:, 1], coords[:, 0])
         rho = abs(spearmanr(np.unwrap(phase), t).statistic)
         assert rho > 0.95
@@ -153,18 +160,18 @@ class TestLocalGeometry:
                 1e-4 * rng.standard_normal(300),
             ]
         )
-        assert estimate_dimension(coords, 0.3, 0.5) == 1
+        assert estimate_dimension(mean_local_eigenvalues(coords, 0.3), 0.5) == 1
 
     def test_dimension_fallback_is_one(self):
         rng = np.random.default_rng(13)
         coords = np.column_stack(
             [rng.uniform(-1, 1, 200), 1e-5 * rng.standard_normal(200)]
         )
-        assert estimate_dimension(coords, 0.2, 0.5) == 1
+        assert estimate_dimension(mean_local_eigenvalues(coords, 0.2), 0.5) == 1
 
     def test_dimension_requires_two_columns(self):
         with pytest.raises(ValueError):
-            estimate_dimension(np.ones((10, 1)), 0.5, 0.5)
+            estimate_dimension(mean_local_eigenvalues(np.ones((10, 1)), 0.5), 0.5)
 
 
 class TestAnchorVariance:

@@ -1,23 +1,23 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.optimize import minimize
-from scipy.stats import invgamma, kstest, truncnorm
+from scipy.stats import kstest, truncnorm
 
 from nifa.model import (
     DataMatrix,
     DomainError,
     FactorAssignment,
     Hyperparameters,
-    MonotoneSpline,
-    NiftyState,
-    factor_matrix,
+    eta,
     log_likelihood,
     spline_basis,
 )
 from nifa.pretrain import AnchorSet
 from nifa.sampler import (
-    ChainDiagnostics,
+    CHAIN_ARRAYS,
     PosteriorChain,
     _truncated_standard_normal,
     initial_state,
@@ -37,14 +37,30 @@ from nifa.sampler import (
 )
 
 
+def make_state(loadings, coefficients, latent_locations, residual_variances,
+               local_scales=None, global_scale=1.0, assignment=None):
+    """One draw as the arrays the sampler blocks take, plus its assignment."""
+    loadings = np.asarray(loadings, dtype=float)
+    return dict(
+        loadings=loadings,
+        spline_coefficients=np.asarray(coefficients, dtype=float),
+        latent_locations=np.asarray(latent_locations, dtype=float),
+        residual_variances=np.asarray(residual_variances, dtype=float),
+        local_scales=np.ones(loadings.shape) if local_scales is None else local_scales,
+        global_scale=global_scale,
+        assignment=assignment or FactorAssignment(np.array([1])),
+    )
+
+
 def small_state(n=8, p=3, h=2, k=2, L=4, seed=0):
     rng = np.random.default_rng(seed)
-    return NiftyState(
-        loadings=rng.standard_normal((p, h)),
-        splines=tuple(
-            MonotoneSpline(rng.standard_normal() * 0.3, rng.uniform(0.2, 1.5, L))
-            for _ in range(h)
-        ),
+    lam = rng.standard_normal((p, h))
+    coef = np.column_stack([
+        np.concatenate([[rng.standard_normal() * 0.3], rng.uniform(0.2, 1.5, L)])
+        for _ in range(h)
+    ])
+    return make_state(
+        lam, coef,
         latent_locations=rng.uniform(0.05, 0.95, (n, k)),
         residual_variances=rng.uniform(0.5, 1.5, p),
         local_scales=rng.uniform(0.5, 2.0, (p, h)),
@@ -53,14 +69,35 @@ def small_state(n=8, p=3, h=2, k=2, L=4, seed=0):
     )
 
 
+def factors(st):
+    return eta(st["spline_coefficients"], st["latent_locations"], st["assignment"])
+
+
+def model_mean(st):
+    return factors(st) @ st["loadings"].T
+
+
+def prior_variances(st):
+    return st["global_scale"] * st["local_scales"]
+
+
+def u_target(st, data, nu):
+    """The latent-location log target of st as a function of u alone."""
+    return partial(u_log_target, coefficients=st["spline_coefficients"],
+                   loadings=st["loadings"], residual_variances=st["residual_variances"],
+                   assignment=st["assignment"], data=data, nu=nu)
+
+
+def spline_args(st):
+    return (st["loadings"], st["residual_variances"], st["latent_locations"],
+            st["assignment"])
+
+
 def state_data_pair(seed=0, **kw):
     st = small_state(seed=seed, **kw)
     rng = np.random.default_rng(seed + 100)
-    data = DataMatrix(
-        factor_matrix(st) @ st.loadings.T
-        + rng.standard_normal((st.n_rows, st.n_features)) * 0.3
-    )
-    return st, data
+    mean = model_mean(st)
+    return st, DataMatrix(mean + rng.standard_normal(mean.shape) * 0.3)
 
 
 class TestUniformPenalty:
@@ -100,46 +137,31 @@ class TestUniformPenalty:
 class TestLoadingsBlock:
     def test_prior_recovery_with_zero_factors(self):
         st, data = state_data_pair(seed=3)
-        zero_splines = tuple(MonotoneSpline(0.0, np.zeros(4)) for _ in range(2))
-        st0 = NiftyState(
-            st.loadings, zero_splines, st.latent_locations, st.residual_variances,
-            st.local_scales, st.global_scale, st.assignment,
-        )
-        mean, cov, _ = loadings_row_posterior(0, st0, data)
+        zero = factors(dict(st, spline_coefficients=np.zeros((5, 2))))
+        mean, cov, _ = loadings_row_posterior(0, zero, st["residual_variances"],
+                                              prior_variances(st), data)
         assert np.allclose(mean, 0.0)
-        assert np.allclose(cov, np.diag(st0.global_scale * st0.local_scales[0]))
+        assert np.allclose(cov, np.diag(st["global_scale"] * st["local_scales"][0]))
 
     def test_scalar_hand_case(self):
         # H=1, N=2, eta=(1,1), x=(1,3), sigma^2=1, prior variance 1:
         # posterior variance 1/(1+2) = 1/3, mean (1/3)*(1+3) = 4/3
-        st = NiftyState(
-            loadings=np.array([[0.0]]),
-            splines=(MonotoneSpline(0.0, np.array([1.0])),),
-            latent_locations=np.array([[1.0], [1.0]]),
-            residual_variances=np.array([1.0]),
-            local_scales=np.array([[1.0]]),
-            global_scale=1.0,
-            assignment=FactorAssignment(np.array([1])),
-        )
+        st = make_state([[0.0]], [[0.0], [1.0]], [[1.0], [1.0]], [1.0])
         data = DataMatrix(np.array([[1.0], [3.0]]))
-        mean, cov, _ = loadings_row_posterior(0, st, data)
+        mean, cov, _ = loadings_row_posterior(0, factors(st), st["residual_variances"],
+                                              prior_variances(st), data)
         assert mean[0] == pytest.approx(4.0 / 3.0)
         assert cov[0, 0] == pytest.approx(1.0 / 3.0)
 
     def test_grid_quadrature_oracle(self):
         # H=1, N=3 instance: posterior mean from dense-grid quadrature
-        st = NiftyState(
-            loadings=np.array([[0.0]]),
-            splines=(MonotoneSpline(0.0, np.array([2.0])),),
-            latent_locations=np.array([[0.2], [0.5], [0.9]]),
-            residual_variances=np.array([0.7]),
-            local_scales=np.array([[1.4]]),
-            global_scale=0.8,
-            assignment=FactorAssignment(np.array([1])),
-        )
+        st = make_state([[0.0]], [[0.0], [2.0]], [[0.2], [0.5], [0.9]], [0.7],
+                        local_scales=np.array([[1.4]]), global_scale=0.8)
         data = DataMatrix(np.array([[0.3], [1.1], [1.6]]))
-        mean, cov, _ = loadings_row_posterior(0, st, data)
-        eta = factor_matrix(st)[:, 0]
+        eta = factors(st)
+        mean, cov, _ = loadings_row_posterior(0, eta, st["residual_variances"],
+                                              prior_variances(st), data)
+        eta = eta[:, 0]
         x = data.values[:, 0]
 
         def unnorm(lam):
@@ -158,8 +180,9 @@ class TestLoadingsBlock:
     def test_draws_match_moments(self):
         st, data = state_data_pair(seed=4)
         rng = np.random.default_rng(5)
-        mean, cov, _ = loadings_row_posterior(1, st, data)
-        draws = np.array([sample_loadings_row(1, st, data, rng) for _ in range(4000)])
+        args = (factors(st), st["residual_variances"], prior_variances(st), data)
+        mean, cov, _ = loadings_row_posterior(1, *args)
+        draws = np.array([sample_loadings_row(1, *args, rng) for _ in range(4000)])
         se = np.sqrt(np.diag(cov) / 4000)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se)
         assert np.allclose(np.cov(draws.T), cov, atol=0.1 * np.max(np.abs(cov)))
@@ -168,35 +191,27 @@ class TestLoadingsBlock:
 class TestResidualVarianceBlock:
     def test_params_hand_case(self):
         # N=2, residuals (1,1), a=100, b=1 -> Gamma(101, 2)
-        st = NiftyState(
-            loadings=np.array([[1.0]]),
-            splines=(MonotoneSpline(0.0, np.array([1.0])),),
-            latent_locations=np.array([[0.5], [0.5]]),
-            residual_variances=np.array([1.0]),
-            local_scales=np.array([[1.0]]),
-            global_scale=1.0,
-            assignment=FactorAssignment(np.array([1])),
-        )
+        st = make_state([[1.0]], [[0.0], [1.0]], [[0.5], [0.5]], [1.0])
         data = DataMatrix(np.array([[1.5], [1.5]]))  # residual 1 at eta=0.5
         hp = Hyperparameters(a_sigma=100.0, b_sigma=1.0, L=1)
-        shape, rates = residual_variance_params(st, data, hp)
+        shape, rates = residual_variance_params(factors(st), st["loadings"], data, hp)
         assert shape == pytest.approx(101.0)
         assert rates[0] == pytest.approx(2.0)
 
     def test_zero_residuals(self):
         st, _ = state_data_pair(seed=6)
-        data = DataMatrix(factor_matrix(st) @ st.loadings.T)
+        data = DataMatrix(model_mean(st))
         hp = Hyperparameters(a_sigma=100.0, b_sigma=1.0)
-        shape, rates = residual_variance_params(st, data, hp)
-        assert shape == pytest.approx(100.0 + st.n_rows / 2)
+        shape, rates = residual_variance_params(factors(st), st["loadings"], data, hp)
+        assert shape == pytest.approx(100.0 + data.n_rows / 2)
         assert np.allclose(rates, 1.0)
 
     def test_anchor_positions_fixed(self):
         st, data = state_data_pair(seed=7)
         rng = np.random.default_rng(8)
         anchor_var = np.array([0.123])
-        out = sample_residual_variances(st, data, Hyperparameters(), rng,
-                                        anchor_variances=anchor_var)
+        out = sample_residual_variances(factors(st), st["loadings"], data, Hyperparameters(),
+                                        rng, anchor_variances=anchor_var)
         assert out[0] == 0.123
         assert np.all(out[1:] > 0)
 
@@ -204,9 +219,10 @@ class TestResidualVarianceBlock:
         st, data = state_data_pair(seed=9)
         hp = Hyperparameters()
         rng = np.random.default_rng(10)
-        shape, rates = residual_variance_params(st, data, hp)
+        args = (factors(st), st["loadings"], data, hp)
+        shape, rates = residual_variance_params(*args)
         draws = np.array(
-            [sample_residual_variances(st, data, hp, rng) for _ in range(4000)]
+            [sample_residual_variances(*args, rng) for _ in range(4000)]
         )
         expected = rates / (shape - 1)  # inverse-gamma mean
         sd = rates / ((shape - 1) * np.sqrt(shape - 2))
@@ -217,23 +233,24 @@ class TestSplineBlock:
     def test_posterior_matches_stacked_regression_oracle(self):
         st, data = state_data_pair(seed=11)
         hp = Hyperparameters(L=4, sigma_a_sq=1.7)
-        prec, lin = spline_posterior(st, data, hp)
+        prec, lin = spline_posterior(*spline_args(st), data, hp)
         # independent construction: stack the linear model row by row
         n, p = data.values.shape
-        h = st.n_factors
-        width = st.splines[0].n_pieces + 1
-        k0 = st.assignment.zero_based
+        lam, u = st["loadings"], st["latent_locations"]
+        h = lam.shape[1]
+        width = 5
+        k0 = st["assignment"].zero_based
         rows, ys, ws = [], [], []
         for i in range(n):
             for j in range(p):
                 row = np.zeros(h * width)
                 for a in range(h):
-                    basis = spline_basis(st.latent_locations[i, k0[a]], 4)
-                    row[a * width] = st.loadings[j, a]
-                    row[a * width + 1 :][: 4] = st.loadings[j, a] * basis
+                    basis = spline_basis(u[i, k0[a]], 4)
+                    row[a * width] = lam[j, a]
+                    row[a * width + 1 :][: 4] = lam[j, a] * basis
                 rows.append(row)
                 ys.append(data.values[i, j])
-                ws.append(1.0 / st.residual_variances[j])
+                ws.append(1.0 / st["residual_variances"][j])
         X = np.array(rows)
         y = np.array(ys)
         w = np.array(ws)
@@ -247,24 +264,14 @@ class TestSplineBlock:
         # likelihood, ignoring the positivity constraint
         st, data = state_data_pair(seed=12, L=3)
         hp = Hyperparameters(L=3, sigma_a_sq=2.0)
-        prec, lin = spline_posterior(st, data, hp)
+        prec, lin = spline_posterior(*spline_args(st), data, hp)
         mode = np.linalg.solve(prec, lin)
         width = 4
 
         def neg_log_cond(beta):
-            splines = tuple(
-                MonotoneSpline(beta[a * width], np.maximum(beta[a * width + 1 : (a + 1) * width], 0.0))
-                if np.all(beta[a * width + 1 : (a + 1) * width] >= 0)
-                else PiecewiseLinearMapFree(beta[a * width], beta[a * width + 1 : (a + 1) * width])
-                for a in range(st.n_factors)
-            )
-            trial = NiftyState(
-                st.loadings, splines, st.latent_locations, st.residual_variances,
-                st.local_scales, st.global_scale, st.assignment,
-            )
-            return -log_likelihood(trial, data) + 0.5 * np.sum(beta**2) / 2.0
-
-        from nifa.model import PiecewiseLinearMap as PiecewiseLinearMapFree
+            trial = dict(st, spline_coefficients=beta.reshape(-1, width).T)
+            return (-log_likelihood(model_mean(trial), st["residual_variances"], data)
+                    + 0.5 * np.sum(beta**2) / 2.0)
 
         res = minimize(neg_log_cond, np.zeros(mode.size), method="BFGS",
                        options={"gtol": 1e-10, "maxiter": 2000})
@@ -274,28 +281,20 @@ class TestSplineBlock:
         st, data = state_data_pair(seed=13)
         rng = np.random.default_rng(14)
         for _ in range(10):
-            splines = sample_spline_coefficients(st, data, Hyperparameters(L=4), rng)
-            for g in splines:
-                assert np.all(g.slopes >= 0)
+            coef = sample_spline_coefficients(st["spline_coefficients"], *spline_args(st),
+                                              data, Hyperparameters(L=4), rng)
+            assert coef.shape == st["spline_coefficients"].shape
+            assert np.all(coef[1:] >= 0)
 
     def test_moments_match_2d_grid_oracle(self):
         # H=1, L=1: two coefficients (intercept, slope >= 0); compare long-run
         # Gibbs draws against dense 2-d quadrature of the truncated Gaussian
-        st = NiftyState(
-            loadings=np.array([[1.0], [0.5]]),
-            splines=(MonotoneSpline(0.1, np.array([0.5])),),
-            latent_locations=np.array([[0.1], [0.35], [0.6], [0.95]]),
-            residual_variances=np.array([0.4, 0.6]),
-            local_scales=np.ones((2, 1)),
-            global_scale=1.0,
-            assignment=FactorAssignment(np.array([1])),
-        )
+        st = make_state([[1.0], [0.5]], [[0.1], [0.5]], [[0.1], [0.35], [0.6], [0.95]],
+                        [0.4, 0.6])
         rng0 = np.random.default_rng(15)
-        data = DataMatrix(
-            factor_matrix(st) @ st.loadings.T + 0.3 * rng0.standard_normal((4, 2))
-        )
+        data = DataMatrix(model_mean(st) + 0.3 * rng0.standard_normal((4, 2)))
         hp = Hyperparameters(L=1, sigma_a_sq=1.0)
-        prec, lin = spline_posterior(st, data, hp)
+        prec, lin = spline_posterior(*spline_args(st), data, hp)
 
         def dens(b0, b1):
             b = np.array([b0, b1])
@@ -309,15 +308,12 @@ class TestSplineBlock:
         m1 = np.trapezoid(np.trapezoid(pdf * g1, g1, axis=1), g0) / z
 
         rng = np.random.default_rng(16)
-        cur = st
+        coef = st["spline_coefficients"]
         draws = np.empty((3000, 2))
         for t in range(3000):
-            splines = sample_spline_coefficients(cur, data, hp, rng, n_sweeps=4)
-            cur = NiftyState(
-                cur.loadings, splines, cur.latent_locations, cur.residual_variances,
-                cur.local_scales, cur.global_scale, cur.assignment,
-            )
-            draws[t] = [splines[0].intercept, splines[0].slopes[0]]
+            coef = sample_spline_coefficients(coef, *spline_args(st), data, hp, rng,
+                                              n_sweeps=4)
+            draws[t] = coef[:, 0]
         est = draws[500:].mean(axis=0)
         assert est[0] == pytest.approx(m0, abs=0.05)
         assert est[1] == pytest.approx(m1, abs=0.05)
@@ -344,44 +340,33 @@ class TestTruncatedNormal:
 class TestULogTarget:
     def test_gradient_matches_finite_differences(self):
         st, data = state_data_pair(seed=19)
-        val, grad = u_log_target(st, data, nu=50.0)
-        u = st.latent_locations
+        target = u_target(st, data, nu=50.0)
+        u = st["latent_locations"]
+        val, grad = target(u)
         eps = 1e-6
         for _ in range(30):
             rng = np.random.default_rng(_)
-            i = rng.integers(st.n_rows)
-            k = rng.integers(st.n_locations)
+            i = rng.integers(u.shape[0])
+            k = rng.integers(u.shape[1])
             up = u.copy()
             dn = u.copy()
             up[i, k] += eps
             dn[i, k] -= eps
-            sp = NiftyState(st.loadings, st.splines, up, st.residual_variances,
-                            st.local_scales, st.global_scale, st.assignment)
-            sn = NiftyState(st.loadings, st.splines, dn, st.residual_variances,
-                            st.local_scales, st.global_scale, st.assignment)
-            vp, _g = u_log_target(sp, data, nu=50.0)
-            vn, _g = u_log_target(sn, data, nu=50.0)
+            vp, _g = target(up)
+            vn, _g = target(dn)
             fd = (vp - vn) / (2 * eps)
             assert grad[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
     def test_zero_gradient_at_model_mean(self):
         st, _ = state_data_pair(seed=20)
-        data = DataMatrix(factor_matrix(st) @ st.loadings.T)
-        _, grad = u_log_target(st, data, nu=0.0)
+        data = DataMatrix(model_mean(st))
+        _, grad = u_target(st, data, nu=0.0)(st["latent_locations"])
         assert np.allclose(grad, 0.0, atol=1e-10)
 
     def test_penalty_only_gradient(self):
-        st = NiftyState(
-            loadings=np.zeros((1, 1)),
-            splines=(MonotoneSpline(0.0, np.array([1.0])),),
-            latent_locations=np.array([[0.2], [0.9]]),
-            residual_variances=np.array([1.0]),
-            local_scales=np.ones((1, 1)),
-            global_scale=1.0,
-            assignment=FactorAssignment(np.array([1])),
-        )
+        st = make_state(np.zeros((1, 1)), [[0.0], [1.0]], [[0.2], [0.9]], [1.0])
         data = DataMatrix(np.zeros((2, 1)))
-        _, grad = u_log_target(st, data, nu=1.0)
+        _, grad = u_target(st, data, nu=1.0)(st["latent_locations"])
         # target = -nu * penalty, so its gradient is minus the penalty gradient
         assert grad[:, 0] == pytest.approx([0.6, 0.2])
 
@@ -390,63 +375,48 @@ class TestMala:
     def test_out_of_bounds_rejected(self):
         st, data = state_data_pair(seed=21)
         rng = np.random.default_rng(22)
-        u_new, accepted = mala_step(st, data, epsilon=100.0, rng=rng, nu=0.0)
+        u = st["latent_locations"]
+        u_new, accepted = mala_step(u, u_target(st, data, nu=0.0), epsilon=100.0, rng=rng)
         assert not accepted
-        assert np.array_equal(u_new, st.latent_locations)
+        assert np.array_equal(u_new, u)
 
     def test_flat_target_always_accepts_inside(self):
-        st = NiftyState(
-            loadings=np.zeros((2, 1)),
-            splines=(MonotoneSpline(0.0, np.array([1.0])),),
-            latent_locations=np.full((3, 1), 0.5),
-            residual_variances=np.ones(2),
-            local_scales=np.ones((2, 1)),
-            global_scale=1.0,
-            assignment=FactorAssignment(np.array([1])),
-        )
+        st = make_state(np.zeros((2, 1)), [[0.0], [1.0]], np.full((3, 1), 0.5), np.ones(2))
         data = DataMatrix(np.zeros((3, 2)))
+        target = u_target(st, data, nu=0.0)
         rng = np.random.default_rng(23)
         n_in = n_acc = 0
-        cur = st
+        cur = st["latent_locations"]
         for _ in range(300):
-            u_new, acc = mala_step(cur, data, 1e-3, rng, nu=0.0)
-            moved = not np.array_equal(u_new, cur.latent_locations)
+            u_new, acc = mala_step(cur, target, 1e-3, rng)
+            moved = not np.array_equal(u_new, cur)
             if moved or acc:
                 n_in += 1
                 n_acc += int(acc)
-            cur = NiftyState(cur.loadings, cur.splines, u_new, cur.residual_variances,
-                             cur.local_scales, cur.global_scale, cur.assignment)
+            cur = u_new
         assert n_acc == n_in  # flat target: every in-bounds proposal accepted
 
     def test_step_size_validation(self):
         st, data = state_data_pair(seed=24)
         with pytest.raises(ValueError):
-            mala_step(st, data, 0.0, np.random.default_rng(0), 0.0)
+            mala_step(st["latent_locations"], u_target(st, data, nu=0.0), 0.0,
+                      np.random.default_rng(0))
 
     def test_detailed_balance_total_variation(self):
         # long-run histogram of the chain matches the grid-normalized target
         lam = 2.0
         sig2 = 0.25
-        base = NiftyState(
-            loadings=np.array([[lam]]),
-            splines=(MonotoneSpline(0.0, np.array([1.0])),),
-            latent_locations=np.array([[0.5], [0.5]]),
-            residual_variances=np.array([sig2]),
-            local_scales=np.ones((1, 1)),
-            global_scale=1.0,
-            assignment=FactorAssignment(np.array([1])),
-        )
+        base = make_state([[lam]], [[0.0], [1.0]], [[0.5], [0.5]], [sig2])
         x = np.array([[0.9], [0.9]])
         data = DataMatrix(x)
+        target = u_target(base, data, nu=0.0)
         rng = np.random.default_rng(25)
-        cur = base
+        cur = base["latent_locations"]
         n_steps = 200_000
         keep = np.empty(2 * n_steps)
         for t in range(n_steps):
-            u_new, _ = mala_step(cur, data, 0.01, rng, nu=0.0)
-            cur = NiftyState(cur.loadings, cur.splines, u_new, cur.residual_variances,
-                             cur.local_scales, cur.global_scale, cur.assignment)
-            keep[2 * t : 2 * t + 2] = u_new[:, 0]
+            cur, _ = mala_step(cur, target, 0.01, rng)
+            keep[2 * t : 2 * t + 2] = cur[:, 0]
         # target per coordinate: exp(-(x - lam*u)^2 / (2 sig2)) on [0,1]
         grid = np.linspace(0, 1, 2001)
         dens = np.exp(-((0.9 - lam * grid) ** 2) / (2 * sig2))
@@ -465,32 +435,20 @@ class TestShrinkage:
     def test_positive_outputs(self):
         st, _ = state_data_pair(seed=26)
         rng = np.random.default_rng(27)
-        gamma, tau = sample_shrinkage(st, rng)
+        gamma, tau = sample_shrinkage(st["loadings"], st["local_scales"], st["global_scale"],
+                                      rng)
         assert np.all(gamma > 0) and tau > 0
-        assert gamma.shape == st.local_scales.shape
+        assert gamma.shape == st["local_scales"].shape
 
     def test_gamma_chain_matches_grid_conditional(self):
         # 1x1 instance with tau fixed at 1: the gamma chain's stationary law is
         # p(gamma) ∝ gamma^-1 (1+gamma)^-1 exp(-lam^2/(2 gamma))
         lam = 1.2
-        base = NiftyState(
-            loadings=np.array([[lam]]),
-            splines=(MonotoneSpline(0.0, np.array([1.0])),),
-            latent_locations=np.array([[0.3], [0.7]]),
-            residual_variances=np.array([1.0]),
-            local_scales=np.array([[1.0]]),
-            global_scale=1.0,
-            assignment=FactorAssignment(np.array([1])),
-        )
         rng = np.random.default_rng(28)
         cur = 1.0
         draws = np.empty(20000)
         for t in range(20000):
-            st = NiftyState(
-                base.loadings, base.splines, base.latent_locations,
-                base.residual_variances, np.array([[cur]]), 1.0, base.assignment,
-            )
-            gamma, _ = sample_shrinkage(st, rng)
+            gamma, _ = sample_shrinkage(np.array([[lam]]), np.array([[cur]]), 1.0, rng)
             cur = float(gamma[0, 0])
             draws[t] = cur
 
@@ -511,16 +469,8 @@ class TestShrinkage:
         rng = np.random.default_rng(29)
         p, h = 30, 4
         lam = rng.standard_normal((p, h))
-        st = NiftyState(
-            loadings=lam,
-            splines=tuple(MonotoneSpline(0.0, np.array([1.0])) for _ in range(h)),
-            latent_locations=rng.uniform(size=(10, 2)),
-            residual_variances=np.ones(p),
-            local_scales=np.ones((p, h)),
-            global_scale=1.0,
-            assignment=FactorAssignment.round_robin(h, 2),
-        )
-        taus = np.array([sample_shrinkage(st, rng)[1] for _ in range(4000)])
+        taus = np.array([sample_shrinkage(lam, np.ones((p, h)), 1.0, rng)[1]
+                         for _ in range(4000)])
         # for shape (PH+1)/2 and scale ~ sum(lam^2)/2 the mean given the
         # auxiliary is scale/(shape-1); aux contributes little here
         shape = (p * h + 1) / 2
@@ -582,43 +532,50 @@ class TestChain:
         data, anchor = self.make_problem(seed=4)
         hp = Hyperparameters(L=6)
         st = initial_state(data, anchor, hp, FactorAssignment(np.array([1])))
+        assert tuple(st) == CHAIN_ARRAYS
         # latent locations are the anchor-column ranks over N
+        u = st["latent_locations"]
         order = np.argsort(anchor.coordinates[:, 0], kind="stable")
-        assert np.allclose(np.sort(st.latent_locations[:, 0]),
-                           np.arange(1, data.n_rows + 1) / data.n_rows)
-        assert np.array_equal(np.argsort(st.latent_locations[:, 0], kind="stable"), order)
-        for g in st.splines:
-            assert g.intercept == 0.0 and np.allclose(g.slopes, 1.0)
-        assert st.residual_variances[0] == anchor.residual_variances[0]
-        assert np.allclose(st.residual_variances[1:], 0.01)
+        assert np.allclose(np.sort(u[:, 0]), np.arange(1, data.n_rows + 1) / data.n_rows)
+        assert np.array_equal(np.argsort(u[:, 0], kind="stable"), order)
+        # identity maps: zero intercepts, unit slopes
+        coef = st["spline_coefficients"]
+        assert coef.shape == (7, 1)
+        assert np.all(coef[0] == 0.0) and np.allclose(coef[1:], 1.0)
+        assert st["residual_variances"][0] == anchor.residual_variances[0]
+        assert np.allclose(st["residual_variances"][1:], 0.01)
 
     def test_log_joint_matches_manual_formula(self):
         st, data = state_data_pair(seed=30)
         hp = Hyperparameters(nu=10.0, sigma_a_sq=1.5, a_sigma=3.0, b_sigma=2.0, L=4)
-        got = log_joint(st, data, hp, n_anchor=1)
-        expected = log_likelihood(st, data)
-        pv = st.global_scale * st.local_scales
-        expected -= 0.5 * np.sum(np.log(pv) + st.loadings**2 / pv)
-        sig = st.residual_variances[1:]
+        got = log_joint(**st, data=data, hp=hp, n_anchor=1)
+        expected = log_likelihood(model_mean(st), st["residual_variances"], data)
+        pv = prior_variances(st)
+        expected -= 0.5 * np.sum(np.log(pv) + st["loadings"]**2 / pv)
+        sig = st["residual_variances"][1:]
         expected += np.sum(-(3.0 + 1) * np.log(sig) - 2.0 / sig)
-        for g in st.splines:
-            expected -= 0.5 * (g.intercept**2 + np.sum(g.slopes**2)) / 1.5
-        for k in range(st.n_locations):
-            expected -= 10.0 * uniform_penalty(st.latent_locations[:, k])
-        expected -= np.sum(0.5 * np.log(st.local_scales) + np.log1p(st.local_scales))
-        expected -= 0.5 * np.log(st.global_scale) + np.log1p(st.global_scale)
+        for c in st["spline_coefficients"].T:
+            expected -= 0.5 * (c[0]**2 + np.sum(c[1:]**2)) / 1.5
+        for k in range(st["latent_locations"].shape[1]):
+            expected -= 10.0 * uniform_penalty(st["latent_locations"][:, k])
+        gam, tau = st["local_scales"], st["global_scale"]
+        expected -= np.sum(0.5 * np.log(gam) + np.log1p(gam))
+        expected -= 0.5 * np.log(tau) + np.log1p(tau)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_chain_trace_matches_samples(self):
         data, anchor = self.make_problem(seed=5)
         hp = Hyperparameters(iterations=40, burn_in=20, thin=10, seed=11, L=5)
         chain = run_chain(data, anchor, hp, FactorAssignment(np.array([1])))
-        for s, lp in zip(chain.samples, chain.diagnostics.log_posterior_trace):
-            assert log_joint(s, data, hp, n_anchor=1) == pytest.approx(lp)
+        for m, lp in enumerate(chain.diagnostics.log_posterior_trace):
+            draw = [getattr(chain, name)[m] for name in CHAIN_ARRAYS]
+            assert log_joint(*draw, chain.assignment, data, hp, n_anchor=1) == lp
 
     @pytest.mark.parametrize("block, nth_call, poison", [
         ("sample_loadings_row", 9, lambda row: row * np.nan),   # 4 rows per sweep
         ("sample_shrinkage", 3, lambda out: (out[0], np.nan)),
+        pytest.param("sample_shrinkage", 3, lambda out: (out[0], 0.0),
+                     id="sample_shrinkage-3-zero_tau"),
     ])
     def test_non_finite_block_fails_at_its_sweep(self, monkeypatch, block, nth_call, poison):
         import nifa.sampler

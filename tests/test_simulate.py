@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nifa.model import FactorAssignment, Hyperparameters, MonotoneSpline, NiftyState
+from nifa.model import FactorAssignment, Hyperparameters, NiftyState, PiecewiseLinearMap
 from nifa.pretrain import AnchorSet
 from nifa.sampler import ChainDiagnostics, PosteriorChain
 from nifa.simulate import (
@@ -11,7 +11,7 @@ from nifa.simulate import (
     gen_setting2,
     gen_setting3,
     gen_swiss_roll,
-    posterior_predictive,
+    posterior_predictive_array,
 )
 
 
@@ -132,7 +132,7 @@ def toy_chain(seed=0, n_states=3):
             NiftyState(
                 loadings=rng.standard_normal((4, 2)),
                 splines=tuple(
-                    MonotoneSpline(rng.standard_normal(), rng.uniform(0.1, 1, 5))
+                    PiecewiseLinearMap(rng.standard_normal(), rng.uniform(0.1, 1, 5))
                     for _ in range(2)
                 ),
                 latent_locations=rng.uniform(size=(10, 2)),
@@ -153,14 +153,12 @@ def toy_chain(seed=0, n_states=3):
 class TestPosteriorPredictive:
     def test_shapes_and_determinism(self):
         chain = toy_chain()
-        a = posterior_predictive(chain, 25, 7)
-        b = posterior_predictive(chain, 25, 7)
-        assert a.values.shape == (25, 4)
-        assert np.array_equal(a.values, b.values)
+        a = posterior_predictive_array(chain, 25, 7)
+        b = posterior_predictive_array(chain, 25, 7)
+        assert a.shape == (25, 4)
+        assert np.array_equal(a, b)
 
     def test_zero_rows(self):
-        from nifa.simulate import posterior_predictive_array
-
         chain = toy_chain()
         out = posterior_predictive_array(chain, 0, 0)
         assert out.shape == (0, 4)
@@ -168,7 +166,7 @@ class TestPosteriorPredictive:
     def test_empty_chain_rejected(self):
         chain = toy_chain()
         with pytest.raises(ValueError):
-            posterior_predictive(PosteriorChain.from_states(
+            posterior_predictive_array(PosteriorChain.from_states(
                 (), ChainDiagnostics(np.empty(0), 0.0, np.zeros(5)),
                 chain.config, chain.anchor,
             ), 5, 0)
@@ -177,7 +175,7 @@ class TestPosteriorPredictive:
         # one-state chain: rows are Lambda g(u) + noise with u uniform
         chain = toy_chain(seed=1, n_states=1)
         st = chain.samples[0]
-        big = posterior_predictive(chain, 100000, 3).values
+        big = posterior_predictive_array(chain, 100000, 3)
         grid = np.linspace(0, 1, 20001)
         eta = np.column_stack([g(grid) for g in st.splines])
         mean_expected = (eta @ st.loadings.T).mean(axis=0)
