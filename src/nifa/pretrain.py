@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.spatial.distance import pdist, squareform
 
 from .model import DataMatrix, ShapeError, spline_basis
@@ -71,7 +72,8 @@ def kernel_matrix(data: DataMatrix, epsilon_dm: float) -> np.ndarray:
     if epsilon_dm <= 0:
         raise ValueError("epsilon_dm must be positive")
     sq = squareform(pdist(data.values, metric="sqeuclidean"))
-    return np.exp(-sq / epsilon_dm**2)
+    np.divide(sq, -epsilon_dm**2, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def default_epsilon_dm(data: DataMatrix) -> float:
@@ -92,42 +94,85 @@ def default_epsilon_local(coords: np.ndarray) -> float:
     return q
 
 
-def diffusion_spectrum(data: DataMatrix, cfg: DiffusionConfig):
-    """Eigen-decomposition of -L via its symmetric conjugate.
+# ARPACK restart budget: the leading pairs take <= 5 restarts on well-connected
+# kernels and ~20 on a swiss roll; near-disconnected kernels do not converge, and
+# 30 failed restarts at N=3200 cost less than one dense eigh of that matrix.
+_ARPACK_MAXITER = 30
+# kernel rows rescaled per step, so the normalisation allocates no N x N temporary
+_ROW_BLOCK = 256
 
-    Returns (eigenvalues, coordinates): the Q smallest non-trivial eigenvalues
-    of -L in ascending order and the matching unit eigenvectors as columns.
+
+def _divide_by_outer(matrix: np.ndarray, v: np.ndarray, root: bool = False) -> None:
+    """In place, matrix /= outer(v, v) (or its square root), row block by row
+    block; bitwise the same as the whole-matrix expression."""
+    for lo in range(0, v.size, _ROW_BLOCK):
+        outer = np.outer(v[lo : lo + _ROW_BLOCK], v)
+        matrix[lo : lo + _ROW_BLOCK] /= np.sqrt(outer, out=outer) if root else outer
+
+
+def _leading_eigenpairs(sym: np.ndarray, k: int):
+    """The k largest eigenpairs of a symmetric matrix, as (values, vectors,
+    solver): ARPACK within _ARPACK_MAXITER restarts, otherwise dense eigh."""
+    n = sym.shape[0]
+    if k < n:
+        # a fixed start vector keeps the result deterministic; not the all-ones
+        # vector, which is the trivial eigenvector when the row sums are equal
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+        try:
+            s, psi = eigsh(sym, k=k, which="LA", v0=v0, maxiter=_ARPACK_MAXITER)
+            return s, psi, "arpack"
+        except ArpackNoConvergence:
+            pass
+    try:
+        s, psi = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigen-decomposition failed: {exc}") from None
+    return s, psi, "dense"
+
+
+def diffusion_spectrum(data: DataMatrix, cfg: DiffusionConfig):
+    """Leading eigenpairs of -L via its symmetric conjugate.
+
+    Returns (eigenvalues, coordinates, solver): the Q smallest non-trivial
+    eigenvalues of -L in ascending order, the matching unit eigenvectors as
+    columns, and the eigensolver that ran ("arpack" or "dense").
     """
     n = data.n_rows
     if not 1 <= cfg.Q <= n - 1:
         raise ValueError("Q must satisfy 1 <= Q <= N-1")
     eps = cfg.epsilon_dm if cfg.epsilon_dm is not None else default_epsilon_dm(data)
-    kern = kernel_matrix(data, eps)
-    d = kern.sum(axis=1)
+    # the kernel is normalised in place: K -> W = K / (d d^T) -> D^-1/2 W D^-1/2,
+    # the symmetric conjugate of the transition matrix D^-1 W
+    sym = kernel_matrix(data, eps)
+    d = sym.sum(axis=1)
     if np.any(d <= 0):
         raise DegenerateGeometryError("kernel has a zero row sum")
-    w = kern / np.outer(d, d)
-    row = w.sum(axis=1)
-    # D^-1 W is similar to the symmetric D^-1/2 W D^-1/2.
-    sym = w / np.sqrt(np.outer(row, row))
-    try:
-        s, psi = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigen-decomposition failed: {exc}") from None
-    # s ascending in the transition operator means mu = (1 - s)/eps^2 descending.
-    order = np.argsort(s)[::-1]
-    mu = (1.0 - s[order]) / eps**2
-    vecs = psi[:, order] / np.sqrt(row)[:, None]
+    _divide_by_outer(sym, d)
+    row = sym.sum(axis=1)
+    _divide_by_outer(sym, row, root=True)
+    s, psi, solver = _leading_eigenpairs(sym, cfg.Q + 1)
+    # s descending in the transition operator means mu = (1 - s)/eps^2 ascending.
+    order = np.argsort(s)[::-1][: cfg.Q + 1]
+    s = s[order]
+    # a second eigenvalue at 1 means several connected components: the
+    # "coordinates" would be arbitrary vectors of the degenerate eigenspace
+    gap = 1.0 - s[1]
+    if gap <= 1e-10:
+        raise DegenerateGeometryError(
+            f"kernel graph is numerically disconnected at epsilon_dm={eps:.6g} "
+            f"(spectral gap {gap:.2g} <= 1e-10); increase epsilon_dm"
+        )
     # skip mu_0 = 0 (constant eigenvector); keep the next Q, ascending mu
-    coords = vecs[:, 1 : cfg.Q + 1]
-    coords = coords / np.linalg.norm(coords, axis=0)
+    mu = (1.0 - s[1:]) / eps**2
+    coords = psi[:, order[1:]] / np.sqrt(row)[:, None]
+    coords /= np.linalg.norm(coords, axis=0)
     # sign convention: first entry of non-negligible magnitude is positive
     for q in range(coords.shape[1]):
         col = coords[:, q]
         lead = np.flatnonzero(np.abs(col) > 1e-12)
         if lead.size and col[lead[0]] < 0:
             coords[:, q] = -col
-    return mu[1 : cfg.Q + 1], coords
+    return mu, coords, solver
 
 
 def local_covariance(coords: np.ndarray, i: int, epsilon_local: float) -> np.ndarray:
@@ -201,11 +246,12 @@ def pretrain_with_decisions(data: DataMatrix, cfg: DiffusionConfig, n_pieces: in
     """Embed, estimate K, extract anchors and estimate their variances, once.
 
     Returns (AnchorSet, decisions). ``decisions`` records the configuration
-    with both bandwidths as used, the diffusion eigenvalues, the mean local
-    eigenvalues and their successor ratios (NaN after a non-positive one).
+    with both bandwidths as used, the diffusion eigenvalues, the eigensolver
+    that produced them, the mean local eigenvalues and their successor ratios
+    (NaN after a non-positive one).
     """
     eps_dm = cfg.epsilon_dm if cfg.epsilon_dm is not None else default_epsilon_dm(data)
-    eigenvalues, coords = diffusion_spectrum(data, replace(cfg, epsilon_dm=eps_dm))
+    eigenvalues, coords, solver = diffusion_spectrum(data, replace(cfg, epsilon_dm=eps_dm))
     eps_local = (cfg.epsilon_local if cfg.epsilon_local is not None
                  else default_epsilon_local(coords))
     lam = mean_local_eigenvalues(coords, eps_local)
@@ -218,6 +264,7 @@ def pretrain_with_decisions(data: DataMatrix, cfg: DiffusionConfig, n_pieces: in
     decisions = {
         "config": asdict(replace(cfg, epsilon_dm=eps_dm, epsilon_local=eps_local)),
         "diffusion_eigenvalues": eigenvalues,
+        "eigensolver": solver,
         "mean_local_eigenvalues": lam,
         "eigenvalue_ratios": np.divide(lam[1:], lam[:-1], out=np.full(lam.size - 1, np.nan),
                                        where=lam[:-1] > 0),

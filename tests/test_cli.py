@@ -217,6 +217,15 @@ class TestExitCodes:
                    "--iterations", "20", "--burn-in", "10", "--pieces", "8") == 1
         assert "at sweep 0" in capsys.readouterr().err
 
+    def test_disconnected_kernel_graph_in_pretrain_exits_1(self, tmp_path, capsys):
+        from nifa.runio import save_matrix
+
+        data = tmp_path / "d.csv"
+        save_matrix(data, np.random.default_rng(24).standard_normal((300, 3)))
+        assert run("pretrain", "--input", data, "--out-dir", tmp_path / "a",
+                   "--epsilon-dm", "0.05") == 1
+        assert "epsilon_dm" in capsys.readouterr().err
+
     def test_rank_deficient_partition_in_postprocess_exits_1(self, workspace, tmp_path):
         from dataclasses import replace
 
@@ -278,6 +287,7 @@ class TestPretrainPass:
         assert len(meta["diffusion_eigenvalues"]) == 5
         assert len(meta["eigenvalue_ratios"]) == len(meta["mean_local_eigenvalues"]) - 1
         assert meta["config"]["epsilon_dm"] > 0 and meta["config"]["epsilon_local"] > 0
+        assert meta["eigensolver"] == "arpack"
 
 
 class TestColumnarStages:

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eig
+from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.stats import spearmanr
 
 from nifa.model import DataMatrix, spline_basis
@@ -17,9 +20,10 @@ from nifa.pretrain import (
     kernel_matrix,
     local_covariance,
     mean_local_eigenvalues,
+    pretrain_with_decisions,
     run_pretraining,
 )
-from nifa.simulate import gen_swiss_roll
+from nifa.simulate import gen_setting3, gen_swiss_roll
 
 
 def circle_data(n=60, seed=0):
@@ -59,6 +63,24 @@ def normalized_laplacian(kernel: np.ndarray, epsilon_dm: float) -> np.ndarray:
     return (w / row[:, None] - np.eye(kernel.shape[0])) / epsilon_dm**2
 
 
+def dense_spectrum(dm: DataMatrix, epsilon_dm: float, q: int):
+    """Oracle for diffusion_spectrum: every eigenpair of the symmetric conjugate
+    from a dense eigh on freshly allocated arrays, then the same ordering,
+    scaling and sign convention."""
+    kern = kernel_matrix(dm, epsilon_dm)
+    d = kern.sum(axis=1)
+    w = kern / np.outer(d, d)
+    row = w.sum(axis=1)
+    s, psi = np.linalg.eigh(w / np.sqrt(np.outer(row, row)))
+    order = np.argsort(s)[::-1][1 : q + 1]
+    vecs = psi[:, order] / np.sqrt(row)[:, None]
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    for col in vecs.T:
+        if col[np.flatnonzero(np.abs(col) > 1e-12)[0]] < 0:
+            col *= -1
+    return (1.0 - s[order]) / epsilon_dm**2, vecs
+
+
 class TestLaplacian:
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(3)
@@ -78,7 +100,7 @@ class TestSpectrum:
         dm, _ = circle_data(40, seed=5)
         eps = default_epsilon_dm(dm)
         cfg = DiffusionConfig(epsilon_dm=eps, Q=4)
-        mu, coords = diffusion_spectrum(dm, cfg)
+        mu, coords, _ = diffusion_spectrum(dm, cfg)
         lap = normalized_laplacian(kernel_matrix(dm, eps), eps)
         vals = np.sort(np.real(eig(-lap)[0]))
         assert vals[0] == pytest.approx(0.0, abs=1e-8)
@@ -88,7 +110,7 @@ class TestSpectrum:
         dm, _ = circle_data(35, seed=6)
         eps = default_epsilon_dm(dm)
         cfg = DiffusionConfig(epsilon_dm=eps, Q=3)
-        mu, coords = diffusion_spectrum(dm, cfg)
+        mu, coords, _ = diffusion_spectrum(dm, cfg)
         lap = normalized_laplacian(kernel_matrix(dm, eps), eps)
         for q in range(3):
             v = coords[:, q]
@@ -97,14 +119,14 @@ class TestSpectrum:
 
     def test_eigenvalues_ascending_nonnegative(self):
         dm, _ = circle_data(30, seed=7)
-        mu, _ = diffusion_spectrum(dm, DiffusionConfig(Q=5))
+        mu, _, _ = diffusion_spectrum(dm, DiffusionConfig(Q=5))
         assert np.all(np.diff(mu) >= -1e-12)
         assert mu[0] > -1e-10
 
     def test_sign_convention_deterministic(self):
         dm, _ = circle_data(30, seed=8)
-        _, c1 = diffusion_spectrum(dm, DiffusionConfig(Q=3))
-        _, c2 = diffusion_spectrum(dm, DiffusionConfig(Q=3))
+        _, c1, _ = diffusion_spectrum(dm, DiffusionConfig(Q=3))
+        _, c2, _ = diffusion_spectrum(dm, DiffusionConfig(Q=3))
         assert np.array_equal(c1, c2)
         for q in range(3):
             lead = np.flatnonzero(np.abs(c1[:, q]) > 1e-12)[0]
@@ -113,10 +135,56 @@ class TestSpectrum:
     def test_circle_first_coordinate_tracks_angle(self):
         # on a circle the leading nontrivial eigenfunctions are sin/cos of angle
         dm, t = circle_data(80, seed=9)
-        _, coords = diffusion_spectrum(dm, DiffusionConfig(Q=2))
+        _, coords, _ = diffusion_spectrum(dm, DiffusionConfig(Q=2))
         phase = np.arctan2(coords[:, 1], coords[:, 0])
         rho = abs(spearmanr(np.unwrap(phase), t).statistic)
         assert rho > 0.95
+
+    def test_arpack_matches_dense_oracle_and_repeats(self):
+        dm = gen_setting3(800, seed=21)
+        cfg = DiffusionConfig(epsilon_dm=0.5)
+        mu, coords, solver = diffusion_spectrum(dm, cfg)
+        assert solver == "arpack"
+        mu_dense, coords_dense = dense_spectrum(dm, 0.5, cfg.Q)
+        assert np.allclose(mu, mu_dense, rtol=0, atol=1e-8)
+        assert np.allclose(coords, coords_dense, rtol=0, atol=1e-8)
+        mu2, coords2, _ = diffusion_spectrum(dm, cfg)
+        assert np.array_equal(mu, mu2) and np.array_equal(coords, coords2)
+
+    def test_all_nontrivial_pairs_use_dense_without_warning(self):
+        # Q = N-1 asks for every eigenpair, which ARPACK cannot deliver
+        dm, _ = circle_data(12, seed=22)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, coords, solver = diffusion_spectrum(dm, DiffusionConfig(Q=11))
+        assert solver == "dense"
+        mu_dense, coords_dense = dense_spectrum(dm, default_epsilon_dm(dm), 11)
+        assert np.allclose(mu, mu_dense, rtol=0, atol=1e-10)
+        assert np.allclose(coords, coords_dense, rtol=0, atol=1e-10)
+
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
+        import nifa.pretrain
+
+        def no_convergence(matrix, k, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((matrix.shape[0], 0)))
+
+        monkeypatch.setattr(nifa.pretrain, "eigsh", no_convergence)
+        dm = gen_setting3(200, seed=23)
+        cfg = DiffusionConfig(epsilon_dm=0.5)
+        mu, coords, solver = diffusion_spectrum(dm, cfg)
+        assert solver == "dense"
+        mu_dense, coords_dense = dense_spectrum(dm, 0.5, cfg.Q)
+        assert np.array_equal(mu, mu_dense) and np.array_equal(coords, coords_dense)
+        _, decisions = pretrain_with_decisions(dm, cfg, 10)
+        assert decisions["eigensolver"] == "dense"
+
+    def test_disconnected_kernel_graph_rejected(self):
+        # at this bandwidth the kernel is numerically the identity: every point
+        # is its own component and the spectrum carries no geometry
+        dm = DataMatrix(np.random.default_rng(24).standard_normal((300, 3)))
+        with pytest.raises(DegenerateGeometryError, match="epsilon_dm"):
+            diffusion_spectrum(dm, DiffusionConfig(epsilon_dm=0.05))
 
     def test_q_bounds(self):
         dm, _ = circle_data(10)
