@@ -4,7 +4,10 @@ evaluate. Exit codes: 0 success, 1 numerical failure, 2 usage/input error."""
 from __future__ import annotations
 
 import argparse
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -77,7 +80,33 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_chain(data: DataMatrix, anchor: pretrain.AnchorSet, hp: Hyperparameters,
+               assignment: FactorAssignment, chain_dir: Path) -> tuple[int, float]:
+    """Run one chain and save it; returns (retained draws, MALA acceptance)."""
+    # through the module attribute, so a patched run_chain also runs in forked workers
+    chain = sampler.run_chain(data, anchor, hp, assignment)
+    runio.save_chain(chain_dir, chain)
+    return len(chain), chain.diagnostics.mala_acceptance_rate
+
+
+def _in_chain(c: int, exc: Exception) -> Exception:
+    """`exc` as the same class with a message naming chain `c`, so that main()
+    maps it to the same exit code."""
+    try:
+        return type(exc)(f"chain {c}: {exc}")
+    except TypeError:  # a class that needs more constructor arguments
+        return exc
+
+
 def _cmd_fit(args) -> int:
+    if args.chains < 1:
+        raise UsageError(f"--chains must be at least 1, got {args.chains}")
     data = _load_data(args.input)
     if args.anchor_dir:
         anchor = runio.load_anchor_set(args.anchor_dir)
@@ -109,16 +138,37 @@ def _cmd_fit(args) -> int:
     augmented = DataMatrix(np.hstack([anchor.coordinates, data.values]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for c in range(args.chains):
-        hp_c = hp if args.chains == 1 else replace(hp, seed=hp.seed + c)
-        chain = sampler.run_chain(augmented, anchor, hp_c, assignment)
-        chain_dir = out_dir if args.chains == 1 else out_dir / f"chain_{c}"
-        runio.save_chain(chain_dir, chain)
-        rate = chain.diagnostics.mala_acceptance_rate
-        print(
-            f"chain {c}: {len(chain)} retained samples, "
-            f"MALA acceptance {rate:.3f}, written to {chain_dir}"
-        )
+    n = args.chains
+    dirs = [out_dir] if n == 1 else [out_dir / f"chain_{c}" for c in range(n)]
+    jobs = [(augmented, anchor, hp if n == 1 else replace(hp, seed=hp.seed + c), assignment,
+             dirs[c]) for c in range(n)]
+    # S = min(chains, usable CPUs) slots: this process runs chains 0, S, 2S, ...
+    # and S - 1 forked workers run the rest. A forked worker skips the package
+    # import and inherits any patched module attribute; the pool forks all its
+    # workers before it starts its own thread. Nothing is printed before the
+    # fork, and the flush keeps a worker from writing a caller's buffered output
+    # a second time when it exits.
+    slots = min(n, _usable_cpus())
+    pool = None
+    if slots > 1:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pool = ProcessPoolExecutor(slots - 1, mp_context=multiprocessing.get_context("fork"))
+    results = {}
+    try:
+        futures = {c: pool.submit(_fit_chain, *jobs[c]) for c in range(n) if c % slots}
+        for c in [*range(0, n, slots), *futures]:
+            try:
+                results[c] = futures[c].result() if c in futures else _fit_chain(*jobs[c])
+            except Exception as exc:
+                raise _in_chain(c, exc)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    for c in range(n):
+        draws, rate = results[c]
+        print(f"chain {c}: {draws} retained samples, "
+              f"MALA acceptance {rate:.3f}, written to {dirs[c]}")
     return 0
 
 

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nifa.cli import main
+import nifa
+from nifa.cli import _usable_cpus, main
 from nifa.runio import load_anchor_set, load_chain, load_json, load_matrix
 
 
@@ -110,6 +116,90 @@ class TestFit:
                    "--out", tmp_path / "x", "--assignment", "1,2,3") == 2
 
 
+CHAIN_ARGS = ("--iterations", "40", "--burn-in", "20", "--thin", "10", "--pieces", "8",
+              "--seed", "3")
+
+
+def chain_files(run_dir, chains):
+    """The bytes of every chain's draws and trace (manifests hold timings)."""
+    return {(c, name): (Path(run_dir) / f"chain_{c}" / name).read_bytes()
+            for c in range(chains) for name in ("chain.npz", "log_posterior.csv")}
+
+
+@pytest.fixture(scope="module")
+def parallel_chains(workspace):
+    """A three-chain fit run as a separate process, as from a shell, with its stdout."""
+    out = workspace / "three_chains"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(nifa.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nifa.cli", "fit", "--input", str(workspace / "data.csv"),
+         "--anchor-dir", str(workspace / "anchors"), "--out", str(out), "--chains", "3",
+         *CHAIN_ARGS], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return out, proc.stdout
+
+
+class TestParallelChains:
+    def test_chains_match_direct_sequential_runs(self, workspace, parallel_chains, tmp_path):
+        from nifa.model import DataMatrix, FactorAssignment, Hyperparameters
+        from nifa.runio import save_chain
+        from nifa.sampler import run_chain
+
+        anchor = load_anchor_set(workspace / "anchors")
+        data, _ = load_matrix(workspace / "data.csv")
+        augmented = DataMatrix(np.hstack([anchor.coordinates, data]))
+        assignment = FactorAssignment.round_robin(anchor.n_anchors, anchor.n_anchors)
+        for c in range(3):
+            hp = Hyperparameters(L=8, iterations=40, burn_in=20, thin=10, seed=3 + c)
+            save_chain(tmp_path / f"chain_{c}", run_chain(augmented, anchor, hp, assignment))
+        assert chain_files(parallel_chains[0], 3) == chain_files(tmp_path, 3)
+
+    def test_one_cpu_runs_chains_without_a_pool(self, workspace, parallel_chains, tmp_path,
+                                                monkeypatch):
+        import nifa.cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built for one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(nifa.cli, "ProcessPoolExecutor", no_pool)
+        assert _usable_cpus() == 1
+        assert run("fit", "--input", workspace / "data.csv", "--anchor-dir",
+                   workspace / "anchors", "--out", tmp_path, "--chains", "3", *CHAIN_ARGS) == 0
+        assert chain_files(tmp_path, 3) == chain_files(parallel_chains[0], 3)
+
+    @pytest.mark.parametrize("failure, message", [
+        (np.linalg.LinAlgError("singular"), "chain 1: singular"),
+        pytest.param(None, "chain 1: ", marks=pytest.mark.skipif(
+            _usable_cpus() < 2, reason="chain 1 runs in a worker only with 2+ CPUs")),
+    ], ids=["linalg_error", "worker_death"])
+    def test_failing_chain_is_named_and_exits_1(self, workspace, tmp_path, monkeypatch,
+                                                capsys, failure, message):
+        import nifa.sampler
+
+        original = nifa.sampler.run_chain
+
+        def fails_for_chain_1(data, anchor, hp, assignment):
+            if hp.seed == 3 + 1:
+                if failure is None:
+                    os._exit(9)  # the worker process dies
+                raise failure
+            return original(data, anchor, hp, assignment)
+
+        monkeypatch.setattr(nifa.sampler, "run_chain", fails_for_chain_1)
+        assert run("fit", "--input", workspace / "data.csv", "--anchor-dir",
+                   workspace / "anchors", "--out", tmp_path, "--chains", "3", *CHAIN_ARGS) == 1
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+
+    def test_each_chain_line_printed_once_in_chain_order(self, parallel_chains):
+        out, stdout = parallel_chains
+        lines = stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["chain 0", "chain 1", "chain 2"]
+        for c, line in enumerate(lines):
+            assert line.endswith(f"written to {out / f'chain_{c}'}")
+
+
 class TestPostprocess:
     def test_summaries_written(self, workspace):
         assert run("postprocess", workspace / "run") == 0
@@ -216,6 +306,13 @@ class TestExitCodes:
                    "--anchor-dir", workspace / "anchors", "--out", tmp_path / "x",
                    "--iterations", "20", "--burn-in", "10", "--pieces", "8") == 1
         assert "at sweep 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chains", ["0", "-1"])
+    def test_non_positive_chains_is_usage_error(self, workspace, tmp_path, capsys, chains):
+        assert run("fit", "--input", workspace / "data.csv", "--anchor-dir",
+                   workspace / "anchors", "--out", tmp_path / "x", "--chains", chains) == 2
+        assert "--chains" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_disconnected_kernel_graph_in_pretrain_exits_1(self, tmp_path, capsys):
         from nifa.runio import save_matrix
