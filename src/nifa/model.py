@@ -100,6 +100,19 @@ def spline_basis(u, n_pieces: int) -> np.ndarray:
     return np.clip(u[..., None] - knots, 0.0, 1.0 / n_pieces)
 
 
+def spline_design(u, n_pieces: int) -> np.ndarray:
+    """Intercept-plus-clamp design [1, spline_basis(u, L)]; returns shape (..., L+1)."""
+    return np.insert(spline_basis(u, n_pieces), 0, 1.0, axis=-1)
+
+
+def rank_transform(x) -> np.ndarray:
+    """Empirical ranks r/N of a 1-d array, r in {1..N}; ties keep their order."""
+    x = np.asarray(x, dtype=float).ravel()
+    ranks = np.empty(x.size)
+    ranks[np.argsort(x, kind="stable")] = np.arange(1, x.size + 1)
+    return ranks / x.size
+
+
 def spline_piece(u, n_pieces: int) -> np.ndarray:
     """Index of the piece holding u, i.e. of the slope that is dg/du there.
 

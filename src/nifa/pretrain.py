@@ -9,7 +9,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.spatial.distance import pdist, squareform
 
-from .model import DataMatrix, ShapeError, spline_basis
+from .model import DataMatrix, ShapeError, rank_transform, spline_design
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -222,10 +222,8 @@ def anchor_residual_variance(column: np.ndarray, n_pieces: int):
     n = col.size
     if n <= n_pieces + 2:
         raise ValueError(f"need more than L+2={n_pieces + 2} rows, got {n}")
-    ranks = np.empty(n)
-    ranks[np.argsort(col, kind="stable")] = np.arange(1, n + 1)
-    u_star = ranks / n
-    design = np.column_stack([np.ones(n), spline_basis(u_star, n_pieces)])
+    u_star = rank_transform(col)
+    design = spline_design(u_star, n_pieces)
     coef, _, rank, _ = np.linalg.lstsq(design, col, rcond=None)
     if rank < design.shape[1]:
         raise np.linalg.LinAlgError("rank-deficient design in anchor regression")

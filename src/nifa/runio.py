@@ -22,11 +22,6 @@ class IncompleteRunError(FileNotFoundError):
 
 def save_matrix(path, arr: np.ndarray, names: list[str] | None = None) -> None:
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    if arr.size == 0:
-        cols = arr.shape[1] if arr.ndim == 2 else 0
-        names = names or [f"c{i}" for i in range(cols)]
-        Path(path).write_text(",".join(names) + "\n")
-        return
     names = names or [f"c{i}" for i in range(arr.shape[1])]
     header = ",".join(names)
     np.savetxt(path, arr, delimiter=",", header=header, comments="")

@@ -29,13 +29,15 @@ from .model import (
     ShapeError,
     eta,
     log_likelihood,
-    spline_basis,
+    rank_transform,
     spline_coefficients,
+    spline_design,
     spline_piece,
 )
 from .pretrain import AnchorSet
 
 MALA_TARGET_ACCEPTANCE = 0.574
+SPLINE_GIBBS_SWEEPS = 2
 
 
 @dataclass(frozen=True)
@@ -129,53 +131,51 @@ def uniform_penalty(u_col: np.ndarray) -> float:
 def uniform_penalty_gradient(u_col: np.ndarray) -> np.ndarray:
     """Gradient of uniform_penalty: 2 (u_i - rank_i / N), stable-sort ranks."""
     u = np.asarray(u_col, dtype=float).ravel()
-    n = u.size
-    ranks = np.empty(n)
-    ranks[np.argsort(u, kind="stable")] = np.arange(1, n + 1)
-    return 2.0 * (u - ranks / n)
+    return 2.0 * (u - rank_transform(u))
 
 
-def loadings_row_posterior(
-    j: int,
+def loadings_posterior(
     eta: np.ndarray,
     residual_variances: np.ndarray,
     prior_variances: np.ndarray,
     data: DataMatrix,
-    gram: np.ndarray | None = None,
 ):
-    """Posterior mean and covariance of loadings row j given the N x H factors
-    ``eta`` and the P x H prior variances tau * gamma."""
-    if gram is None:
-        gram = eta.T @ eta
-    sig = residual_variances[j]
-    prior_var = prior_variances[j]
-    prec = np.diag(1.0 / prior_var) + gram / sig
+    """Posterior means (P x H) of all loadings rows and the lower Cholesky
+    factors (P x H x H) of their precisions, given the N x H factors ``eta``
+    and the P x H prior variances tau * gamma. The rows are independent."""
+    h = eta.shape[1]
+    prec = (eta.T @ eta) / residual_variances[:, None, None]
+    prec[:, np.arange(h), np.arange(h)] += 1.0 / prior_variances
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(
-            f"loadings posterior precision for row {j} is not positive definite"
-        ) from None
-    cov = np.linalg.inv(prec)
-    mean = cov @ (eta.T @ data.values[:, j]) / sig
-    return mean, cov, chol
+        for j, prec_j in enumerate(prec):
+            try:
+                np.linalg.cholesky(prec_j)
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(
+                    f"loadings posterior precision for row {j} is not positive definite"
+                ) from None
+        raise
+    # right-hand sides as (P, H, 1) stacks: prec_j mean_j = eta^T x_j / sigma_j
+    rhs = (data.values.T @ eta / residual_variances[:, None])[..., None]
+    chol_t = np.swapaxes(chol, 1, 2)
+    mean = np.linalg.solve(chol_t, np.linalg.solve(chol, rhs))[..., 0]
+    return mean, chol
 
 
-def sample_loadings_row(
-    j: int,
+def sample_loadings(
     eta: np.ndarray,
     residual_variances: np.ndarray,
     prior_variances: np.ndarray,
     data: DataMatrix,
     rng: np.random.Generator,
-    gram: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw loadings row j from its conjugate Gaussian conditional."""
-    mean, _, chol = loadings_row_posterior(j, eta, residual_variances, prior_variances,
-                                           data, gram)
-    z = rng.standard_normal(mean.size)
+    """Draw all P loadings rows from their conjugate Gaussian conditionals."""
+    mean, chol = loadings_posterior(eta, residual_variances, prior_variances, data)
+    z = rng.standard_normal(mean.shape)
     # chol is of the precision; solve L^T x = z for a covariance-root draw
-    return mean + np.linalg.solve(chol.T, z)
+    return mean + np.linalg.solve(np.swapaxes(chol, 1, 2), z[..., None])[..., 0]
 
 
 def residual_variance_params(
@@ -208,15 +208,6 @@ def sample_residual_variances(
     return out
 
 
-def _location_bases(latent_locations: np.ndarray, n_pieces: int) -> list[np.ndarray]:
-    """Per-location design [1, clamp basis] matrices, N x (L+1)."""
-    ones = np.ones((latent_locations.shape[0], 1))
-    return [
-        np.hstack([ones, spline_basis(u_col, n_pieces)])
-        for u_col in latent_locations.T
-    ]
-
-
 def spline_posterior(
     loadings: np.ndarray,
     residual_variances: np.ndarray,
@@ -227,26 +218,17 @@ def spline_posterior(
 ):
     """Precision matrix and linear term of the joint Gaussian over all
     spline coefficients (intercepts first within each factor block)."""
-    bases = _location_bases(latent_locations, hp.L)
+    bases = [spline_design(u_col, hp.L) for u_col in latent_locations.T]  # K of N x (L+1)
+    cross = np.array([[ba.T @ bb for bb in bases] for ba in bases])  # K x K x (L+1) x (L+1)
     k0 = assignment.zero_based
-    lam = loadings
-    inv_sig = 1.0 / residual_variances
-    cross_lam = (lam * inv_sig[:, None]).T @ lam  # H x H
-    h = assignment.n_factors
-    width = hp.L + 1
-    prec = np.eye(h * width) / hp.sigma_a_sq
-    lin = np.empty(h * width)
-    cross_b = {}
-    for a in range(h):
-        for b in range(h):
-            key = (k0[a], k0[b])
-            if key not in cross_b:
-                cross_b[key] = bases[key[0]].T @ bases[key[1]]
-            prec[a * width : (a + 1) * width, b * width : (b + 1) * width] += (
-                cross_lam[a, b] * cross_b[key]
-            )
-        w = lam[:, a] * inv_sig
-        lin[a * width : (a + 1) * width] = bases[k0[a]].T @ (data.values @ w)
+    weighted = loadings * (1.0 / residual_variances)[:, None]  # P x H
+    cross_lam = weighted.T @ loadings  # H x H
+    size = k0.size * (hp.L + 1)
+    # block (a, b) of the precision is cross_lam[a, b] * cross[k_a, k_b]
+    blocks = cross_lam[:, :, None, None] * cross[k0[:, None], k0]
+    prec = np.eye(size) / hp.sigma_a_sq + blocks.transpose(0, 2, 1, 3).reshape(size, size)
+    lin = np.concatenate([bases[k].T @ (data.values @ weighted[:, a])
+                          for a, k in enumerate(k0)])
     return prec, lin
 
 
@@ -269,19 +251,18 @@ def sample_spline_coefficients(
     data: DataMatrix,
     hp: Hyperparameters,
     rng: np.random.Generator,
-    n_sweeps: int = 2,
 ) -> np.ndarray:
     """Draw the (L+1) x H coefficient matrix jointly, slopes truncated to [0, inf).
 
-    Uses a coordinate-wise Gibbs sweep over the exact Gaussian conditional,
-    started at the current coefficients.
+    Uses SPLINE_GIBBS_SWEEPS coordinate-wise Gibbs sweeps over the exact
+    Gaussian conditional, started at the current coefficients.
     """
     prec, lin = spline_posterior(loadings, residual_variances, latent_locations, assignment,
                                  data, hp)
     width, h = coefficients.shape
     beta = coefficients.T.flatten()  # factor blocks [intercept, slopes], in factor order
     is_slope = (np.arange(beta.size) % width) != 0
-    for _ in range(n_sweeps):
+    for _ in range(SPLINE_GIBBS_SWEEPS):
         for c in range(beta.size):
             pcc = prec[c, c]
             if pcc <= 0:
@@ -430,14 +411,10 @@ def initial_state(
     on the initial factors, and residual variances start at 0.01 (anchor
     positions at their fixed values).
     """
-    n, p = data.values.shape
+    p = data.n_features
     k = anchor.n_anchors
     h = assignment.n_factors
-    u = np.empty((n, k))
-    for kk in range(k):
-        ranks = np.empty(n)
-        ranks[np.argsort(anchor.coordinates[:, kk], kind="stable")] = np.arange(1, n + 1)
-        u[:, kk] = ranks / n
+    u = np.column_stack([rank_transform(col) for col in anchor.coordinates.T])
     coefficients = np.ones((hp.L + 1, h))
     coefficients[0] = 0.0
     lam = np.linalg.lstsq(u[:, assignment.zero_based], data.values, rcond=None)[0].T
@@ -485,7 +462,6 @@ def run_chain(
     rng = np.random.default_rng(hp.seed)
     state = initial_state(data, anchor, hp, assignment)
     lam, coef, u, sigma2, gamma, tau = state.values()
-    p = data.n_features
     log_eps = np.log(hp.mala_step)
     fixed_sigma_until = min(1000, hp.burn_in)
 
@@ -498,16 +474,9 @@ def run_chain(
 
     for t in range(hp.iterations):
         factors = eta(coef, u, assignment)
-        gram = factors.T @ factors
 
         t0 = time.perf_counter()
-        prior_var = tau * gamma
-        lam = np.vstack(
-            [
-                sample_loadings_row(j, factors, sigma2, prior_var, data, rng, gram=gram)
-                for j in range(p)
-            ]
-        )
+        lam = sample_loadings(factors, sigma2, tau * gamma, data, rng)
         _require_valid(t, loadings=lam)
         t1 = time.perf_counter()
 

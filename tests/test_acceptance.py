@@ -30,11 +30,11 @@ from nifa.model import (
 from nifa.postprocess import match_align, postprocess_chain
 from nifa.pretrain import DiffusionConfig, run_pretraining
 from nifa.sampler import (
-    loadings_row_posterior,
+    loadings_posterior,
     mala_step,
     residual_variance_params,
     run_chain,
-    sample_loadings_row,
+    sample_loadings,
     sample_residual_variances,
     sample_spline_coefficients,
     spline_posterior,
@@ -290,7 +290,7 @@ def test_criterion_5b_conjugate_blocks(capsys):
     factors = eta(spline_coefficients((g,)), u, asg)
 
     # loadings row: quadrature over a dense grid of the exact conditional
-    mean, _, _ = loadings_row_posterior(0, factors, sig, prior_var, data)
+    mean, _ = loadings_posterior(factors, sig, prior_var, data)
     grid = np.linspace(-30, 30, 1_200_001)
     eta_u = spline_eval(g, u[:, 0])
     loglik = -0.5 * np.sum(
@@ -298,7 +298,7 @@ def test_criterion_5b_conjugate_blocks(capsys):
     ) / 0.4
     logpri = -0.5 * grid**2 / (1.1 * 0.9)
     w = np.exp(loglik + logpri - np.max(loglik + logpri))
-    err_lam = abs(float(mean[0]) - float(np.sum(grid * w) / np.sum(w)))
+    err_lam = abs(float(mean[0, 0]) - float(np.sum(grid * w) / np.sum(w)))
 
     # residual variance: closed-form inverse-gamma mean vs quadrature
     shape, rates = residual_variance_params(factors, lam, data, hp)
@@ -366,10 +366,7 @@ def _geweke_data(state, rng):
 def _geweke_sweep(state, data, rng):
     factors = _geweke_factors(state)
     sig = state["residual_variances"]
-    lam = np.vstack(
-        [sample_loadings_row(j, factors, sig, _GEWEKE_PRIOR_VAR, data, rng)
-         for j in range(_GEWEKE_P)]
-    )
+    lam = sample_loadings(factors, sig, _GEWEKE_PRIOR_VAR, data, rng)
     sig = sample_residual_variances(
         factors, lam, data, _GEWEKE_HP, rng, anchor_variances=np.array([_GEWEKE_ANCHOR_VAR])
     )

@@ -11,8 +11,10 @@ from nifa.model import (
     ShapeError,
     eta,
     log_likelihood,
+    rank_transform,
     spline_basis,
     spline_coefficients,
+    spline_design,
     spline_piece,
 )
 
@@ -86,6 +88,15 @@ class TestSplineBasis:
         u = np.linspace(0, 1, 17)
         for L in (1, 2, 7, 20):
             assert np.allclose(spline_basis(u, L).sum(axis=1), u)
+
+    def test_design_prepends_intercept_column(self):
+        u = np.array([0.0, 0.3, 1.0])
+        expected = np.column_stack([np.ones(3), spline_basis(u, 4)])
+        assert np.array_equal(spline_design(u, 4), expected)
+
+
+def test_rank_transform_breaks_ties_by_position():
+    assert np.array_equal(rank_transform([0.3, 0.1, 0.3, 0.2]), [0.75, 0.25, 1.0, 0.5])
 
 
 class TestPiecewiseLinearMap:

@@ -21,12 +21,12 @@ from nifa.sampler import (
     PosteriorChain,
     _truncated_standard_normal,
     initial_state,
-    loadings_row_posterior,
+    loadings_posterior,
     log_joint,
     mala_step,
     residual_variance_params,
     run_chain,
-    sample_loadings_row,
+    sample_loadings,
     sample_residual_variances,
     sample_shrinkage,
     sample_spline_coefficients,
@@ -93,6 +93,13 @@ def spline_args(st):
             st["assignment"])
 
 
+def loadings_row_moments(j, *args):
+    """Posterior mean and covariance of loadings row j, the covariance rebuilt
+    from the Cholesky factor of its precision."""
+    mean, chol = loadings_posterior(*args)
+    return mean[j], np.linalg.inv(chol[j] @ chol[j].T)
+
+
 def state_data_pair(seed=0, **kw):
     st = small_state(seed=seed, **kw)
     rng = np.random.default_rng(seed + 100)
@@ -138,8 +145,8 @@ class TestLoadingsBlock:
     def test_prior_recovery_with_zero_factors(self):
         st, data = state_data_pair(seed=3)
         zero = factors(dict(st, spline_coefficients=np.zeros((5, 2))))
-        mean, cov, _ = loadings_row_posterior(0, zero, st["residual_variances"],
-                                              prior_variances(st), data)
+        mean, cov = loadings_row_moments(0, zero, st["residual_variances"],
+                                         prior_variances(st), data)
         assert np.allclose(mean, 0.0)
         assert np.allclose(cov, np.diag(st["global_scale"] * st["local_scales"][0]))
 
@@ -148,8 +155,8 @@ class TestLoadingsBlock:
         # posterior variance 1/(1+2) = 1/3, mean (1/3)*(1+3) = 4/3
         st = make_state([[0.0]], [[0.0], [1.0]], [[1.0], [1.0]], [1.0])
         data = DataMatrix(np.array([[1.0], [3.0]]))
-        mean, cov, _ = loadings_row_posterior(0, factors(st), st["residual_variances"],
-                                              prior_variances(st), data)
+        mean, cov = loadings_row_moments(0, factors(st), st["residual_variances"],
+                                         prior_variances(st), data)
         assert mean[0] == pytest.approx(4.0 / 3.0)
         assert cov[0, 0] == pytest.approx(1.0 / 3.0)
 
@@ -159,8 +166,8 @@ class TestLoadingsBlock:
                         local_scales=np.array([[1.4]]), global_scale=0.8)
         data = DataMatrix(np.array([[0.3], [1.1], [1.6]]))
         eta = factors(st)
-        mean, cov, _ = loadings_row_posterior(0, eta, st["residual_variances"],
-                                              prior_variances(st), data)
+        mean, cov = loadings_row_moments(0, eta, st["residual_variances"],
+                                         prior_variances(st), data)
         eta = eta[:, 0]
         x = data.values[:, 0]
 
@@ -181,11 +188,38 @@ class TestLoadingsBlock:
         st, data = state_data_pair(seed=4)
         rng = np.random.default_rng(5)
         args = (factors(st), st["residual_variances"], prior_variances(st), data)
-        mean, cov, _ = loadings_row_posterior(1, *args)
-        draws = np.array([sample_loadings_row(1, *args, rng) for _ in range(4000)])
+        mean, cov = loadings_row_moments(1, *args)
+        draws = np.array([sample_loadings(*args, rng)[1] for _ in range(4000)])
         se = np.sqrt(np.diag(cov) / 4000)
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se)
         assert np.allclose(np.cov(draws.T), cov, atol=0.1 * np.max(np.abs(cov)))
+
+    def test_rows_match_dense_oracle(self):
+        st, data = state_data_pair(seed=6, n=30, p=6, h=3)
+        eta, sig, prior_var = factors(st), st["residual_variances"], prior_variances(st)
+        mean, chol = loadings_posterior(eta, sig, prior_var, data)
+        assert mean.shape == (6, 3) and chol.shape == (6, 3, 3)
+        for j in range(6):
+            prec = np.diag(1.0 / prior_var[j]) + eta.T @ eta / sig[j]
+            oracle = np.linalg.solve(prec, eta.T @ data.values[:, j] / sig[j])
+            assert np.max(np.abs(mean[j] - oracle)) <= 1e-10
+            assert np.array_equal(chol[j], np.linalg.cholesky(prec))
+
+    def test_draw_is_mean_plus_covariance_root(self):
+        # one (P, H) standard-normal draw, row j's noise in row j
+        st, data = state_data_pair(seed=7, n=30, p=6, h=3)
+        args = (factors(st), st["residual_variances"], prior_variances(st), data)
+        mean, chol = loadings_posterior(*args)
+        z = np.random.default_rng(8).standard_normal((6, 3))
+        expected = np.array([mean[j] + np.linalg.solve(chol[j].T, z[j]) for j in range(6)])
+        assert np.array_equal(sample_loadings(*args, np.random.default_rng(8)), expected)
+
+    def test_non_positive_definite_row_is_named(self):
+        st, data = state_data_pair(seed=9, n=30, p=4)
+        sig = st["residual_variances"].copy()
+        sig[2] = -1.0  # precision diag(1/prior) - eta^T eta
+        with pytest.raises(np.linalg.LinAlgError, match="row 2 is not positive definite"):
+            loadings_posterior(factors(st), sig, prior_variances(st), data)
 
 
 class TestResidualVarianceBlock:
@@ -311,8 +345,8 @@ class TestSplineBlock:
         coef = st["spline_coefficients"]
         draws = np.empty((3000, 2))
         for t in range(3000):
-            coef = sample_spline_coefficients(coef, *spline_args(st), data, hp, rng,
-                                              n_sweeps=4)
+            for _ in range(2):  # four coordinate sweeps per retained draw
+                coef = sample_spline_coefficients(coef, *spline_args(st), data, hp, rng)
             draws[t] = coef[:, 0]
         est = draws[500:].mean(axis=0)
         assert est[0] == pytest.approx(m0, abs=0.05)
@@ -572,7 +606,7 @@ class TestChain:
             assert log_joint(*draw, chain.assignment, data, hp, n_anchor=1) == lp
 
     @pytest.mark.parametrize("block, nth_call, poison", [
-        ("sample_loadings_row", 9, lambda row: row * np.nan),   # 4 rows per sweep
+        ("sample_loadings", 3, lambda lam: lam * np.nan),
         ("sample_shrinkage", 3, lambda out: (out[0], np.nan)),
         pytest.param("sample_shrinkage", 3, lambda out: (out[0], 0.0),
                      id="sample_shrinkage-3-zero_tau"),
