@@ -43,6 +43,8 @@ def sliced_wasserstein_details(
         raise ShapeError("point clouds must share the feature dimension")
     if n_projections < 1:
         raise ValueError("need at least one projection")
+    if x.shape[0] == 0 or y.shape[0] == 0:
+        raise ValueError("point clouds must have at least one row")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     p = x.shape[1]

@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-from scipy.spatial.distance import pdist, squareform
 
 from .model import DataMatrix, ShapeError, rank_transform, spline_design
 
@@ -69,6 +67,8 @@ class AnchorSet:
 
 def kernel_matrix(data: DataMatrix, epsilon_dm: float) -> np.ndarray:
     """Gaussian affinity exp(-||x_i - x_j||^2 / eps^2); symmetric, unit diagonal."""
+    from scipy.spatial.distance import pdist, squareform
+
     if epsilon_dm <= 0:
         raise ValueError("epsilon_dm must be positive")
     sq = squareform(pdist(data.values, metric="sqeuclidean"))
@@ -78,6 +78,8 @@ def kernel_matrix(data: DataMatrix, epsilon_dm: float) -> np.ndarray:
 
 def default_epsilon_dm(data: DataMatrix) -> float:
     """Median of pairwise distances."""
+    from scipy.spatial.distance import pdist
+
     d = pdist(data.values)
     med = float(np.median(d))
     if med <= 0:
@@ -87,6 +89,8 @@ def default_epsilon_dm(data: DataMatrix) -> float:
 
 def default_epsilon_local(coords: np.ndarray) -> float:
     """10th percentile of pairwise distances among embedded coordinates."""
+    from scipy.spatial.distance import pdist
+
     d = pdist(coords)
     q = float(np.quantile(d, 0.10))
     if q <= 0:
@@ -113,6 +117,8 @@ def _divide_by_outer(matrix: np.ndarray, v: np.ndarray, root: bool = False) -> N
 def _leading_eigenpairs(sym: np.ndarray, k: int):
     """The k largest eigenpairs of a symmetric matrix, as (values, vectors,
     solver): ARPACK within _ARPACK_MAXITER restarts, otherwise dense eigh."""
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     n = sym.shape[0]
     if k < n:
         # a fixed start vector keeps the result deterministic; not the all-ones
@@ -147,6 +153,15 @@ def diffusion_spectrum(data: DataMatrix, cfg: DiffusionConfig):
     d = sym.sum(axis=1)
     if np.any(d <= 0):
         raise DegenerateGeometryError("kernel has a zero row sum")
+    # a row whose only non-zero entry is its unit diagonal is a component of its
+    # own, so eigenvalue 1 is repeated; reject it before any eigensolve
+    isolated = next((i for i in np.flatnonzero(d == 1.0) if np.count_nonzero(sym[i]) == 1),
+                    None)
+    if isolated is not None:
+        raise DegenerateGeometryError(
+            f"kernel graph is disconnected at epsilon_dm={eps:.6g} "
+            f"(point {isolated} has no neighbour); increase epsilon_dm"
+        )
     _divide_by_outer(sym, d)
     row = sym.sum(axis=1)
     _divide_by_outer(sym, row, root=True)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .model import (
     DataMatrix,
@@ -232,8 +231,9 @@ def spline_posterior(
     return prec, lin
 
 
-def _truncated_standard_normal(rng: np.random.Generator, lower: float) -> float:
-    """Standard normal conditioned on being >= lower."""
+def _truncated_standard_normal(rng: np.random.Generator, lower: float, ndtr, ndtri) -> float:
+    """Standard normal conditioned on being >= lower; ndtr and ndtri are the
+    normal CDF and its inverse from scipy.special."""
     if lower < 6.0:
         a = ndtr(lower)
         p = a + rng.uniform() * (1.0 - a)
@@ -257,6 +257,8 @@ def sample_spline_coefficients(
     Uses SPLINE_GIBBS_SWEEPS coordinate-wise Gibbs sweeps over the exact
     Gaussian conditional, started at the current coefficients.
     """
+    from scipy.special import ndtr, ndtri
+
     prec, lin = spline_posterior(loadings, residual_variances, latent_locations, assignment,
                                  data, hp)
     width, h = coefficients.shape
@@ -271,7 +273,7 @@ def sample_spline_coefficients(
             mean = resid / pcc
             sd = 1.0 / np.sqrt(pcc)
             if is_slope[c]:
-                z = _truncated_standard_normal(rng, -mean / sd)
+                z = _truncated_standard_normal(rng, -mean / sd, ndtr, ndtri)
                 beta[c] = mean + sd * z
             else:
                 beta[c] = mean + sd * rng.standard_normal()

@@ -15,6 +15,12 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's nifa."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(nifa.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A data file, anchor directory, and a small fitted run."""
@@ -130,12 +136,10 @@ def chain_files(run_dir, chains):
 def parallel_chains(workspace):
     """A three-chain fit run as a separate process, as from a shell, with its stdout."""
     out = workspace / "three_chains"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(nifa.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nifa.cli", "fit", "--input", str(workspace / "data.csv"),
          "--anchor-dir", str(workspace / "anchors"), "--out", str(out), "--chains", "3",
-         *CHAIN_ARGS], capture_output=True, text=True, env=env, timeout=300)
+         *CHAIN_ARGS], capture_output=True, text=True, env=fresh_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return out, proc.stdout
 
@@ -323,6 +327,15 @@ class TestExitCodes:
                    "--epsilon-dm", "0.05") == 1
         assert "epsilon_dm" in capsys.readouterr().err
 
+    def test_empty_input_in_evaluate_exits_2(self, tmp_path, capsys):
+        from nifa.runio import save_matrix
+
+        empty, two = tmp_path / "empty.csv", tmp_path / "two.csv"
+        save_matrix(empty, np.empty((0, 3)))
+        save_matrix(two, np.ones((2, 3)))
+        assert run("evaluate", empty, two) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_rank_deficient_partition_in_postprocess_exits_1(self, workspace, tmp_path):
         from dataclasses import replace
 
@@ -408,3 +421,47 @@ class TestColumnarStages:
         assert run("generate", workspace / "run", "--n", "10", "--seed", "0",
                    "--out", tmp_path / "g.csv") == 0
         assert builds == []
+
+
+# `main(argv)` in a fresh interpreter (none without arguments), then the names
+# of the loaded scipy modules on the last line of stdout
+SCIPY_PROBE = """
+import sys
+from nifa.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def scipy_modules_after(*args):
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *map(str, args)],
+                          capture_output=True, text=True, env=fresh_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestStartup:
+    """Only pretrain and fit import scipy; the other stages start on numpy alone."""
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_after() == set()
+
+    @pytest.mark.parametrize("command", ["simulate", "postprocess", "generate", "evaluate"])
+    def test_stage_loads_no_scipy(self, workspace, tmp_path, command):
+        args = {
+            "simulate": ("--setting", "3", "--n", "20", "--out", tmp_path / "d.csv"),
+            "postprocess": (workspace / "run",),
+            "generate": (workspace / "run", "--n", "5", "--out", tmp_path / "g.csv"),
+            "evaluate": (workspace / "data.csv", workspace / "data.csv",
+                         "--projections", "5"),
+        }[command]
+        assert scipy_modules_after(command, *args) == set()
+
+    def test_fit_loads_no_sparse_or_spatial(self, workspace, tmp_path):
+        loaded = scipy_modules_after("fit", "--input", workspace / "data.csv", "--anchor-dir",
+                                     workspace / "anchors", "--out", tmp_path / "fit",
+                                     "--iterations", "20", "--burn-in", "10", "--pieces", "8")
+        assert "scipy.special" in loaded
+        assert not {m for m in loaded
+                    if m.split(".")[:2] in (["scipy", "sparse"], ["scipy", "spatial"])}

@@ -126,6 +126,12 @@ class TestSlicedWasserstein:
         with pytest.raises(ValueError):
             sliced_wasserstein(np.ones((3, 2)), np.ones((3, 2)), 0)
 
+    @pytest.mark.parametrize("rows", [(0, 3), (3, 0)])
+    def test_empty_cloud_rejected(self, rows):
+        x, y = np.ones((rows[0], 2)), np.ones((rows[1], 2))
+        with pytest.raises(ValueError, match="at least one row"):
+            sliced_wasserstein_details(x, y)
+
 
 class TestKsToUniform:
     def test_exact_midpoint_grid(self):

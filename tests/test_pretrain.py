@@ -163,13 +163,13 @@ class TestSpectrum:
         assert np.allclose(coords, coords_dense, rtol=0, atol=1e-10)
 
     def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
-        import nifa.pretrain
+        import scipy.sparse.linalg
 
         def no_convergence(matrix, k, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0),
                                       np.empty((matrix.shape[0], 0)))
 
-        monkeypatch.setattr(nifa.pretrain, "eigsh", no_convergence)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         dm = gen_setting3(200, seed=23)
         cfg = DiffusionConfig(epsilon_dm=0.5)
         mu, coords, solver = diffusion_spectrum(dm, cfg)
@@ -179,12 +179,27 @@ class TestSpectrum:
         _, decisions = pretrain_with_decisions(dm, cfg, 10)
         assert decisions["eigensolver"] == "dense"
 
-    def test_disconnected_kernel_graph_rejected(self):
-        # at this bandwidth the kernel is numerically the identity: every point
-        # is its own component and the spectrum carries no geometry
+    def test_disconnected_kernel_graph_rejected(self, monkeypatch):
+        # at this bandwidth one point has no non-zero kernel entry besides its
+        # own: it is a component of its own, rejected before any eigensolve
+        import scipy.sparse.linalg
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("an eigensolver ran on a kernel with an isolated point")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", must_not_run)
+        monkeypatch.setattr(np.linalg, "eigh", must_not_run)
         dm = DataMatrix(np.random.default_rng(24).standard_normal((300, 3)))
         with pytest.raises(DegenerateGeometryError, match="epsilon_dm"):
             diffusion_spectrum(dm, DiffusionConfig(epsilon_dm=0.05))
+
+    def test_two_components_rejected_by_spectral_gap(self):
+        # two far-apart clusters and no isolated point: eigenvalue 1 is repeated
+        rng = np.random.default_rng(25)
+        x = 0.3 * rng.standard_normal((80, 3))
+        x[40:, 0] += 100.0
+        with pytest.raises(DegenerateGeometryError, match="spectral gap"):
+            diffusion_spectrum(DataMatrix(x), DiffusionConfig(epsilon_dm=1.0))
 
     def test_q_bounds(self):
         dm, _ = circle_data(10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.optimize import minimize
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest, truncnorm
 
 from nifa.model import (
@@ -357,7 +358,8 @@ class TestTruncatedNormal:
     @pytest.mark.parametrize("lower", [-1.5, 0.0, 2.0])
     def test_moments_match_scipy(self, lower):
         rng = np.random.default_rng(17)
-        draws = np.array([_truncated_standard_normal(rng, lower) for _ in range(20000)])
+        draws = np.array([_truncated_standard_normal(rng, lower, ndtr, ndtri)
+                          for _ in range(20000)])
         ref = truncnorm(lower, np.inf)
         assert np.all(draws >= lower)
         assert draws.mean() == pytest.approx(ref.mean(), abs=5 * ref.std() / np.sqrt(20000))
@@ -365,7 +367,8 @@ class TestTruncatedNormal:
 
     def test_far_tail(self):
         rng = np.random.default_rng(18)
-        draws = np.array([_truncated_standard_normal(rng, 8.0) for _ in range(5000)])
+        draws = np.array([_truncated_standard_normal(rng, 8.0, ndtr, ndtri)
+                          for _ in range(5000)])
         assert np.all(draws >= 8.0)
         # conditional excess over the boundary is approximately Exp(8)
         assert (draws - 8.0).mean() == pytest.approx(1 / 8.0, rel=0.1)
