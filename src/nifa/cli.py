@@ -8,8 +8,9 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -58,20 +59,17 @@ def _cmd_pretrain(args) -> int:
     out_dir = Path(args.out_dir)
     if args.anchors:
         coords, _ = runio.load_matrix(args.anchors)
-        anchor = pretrain.anchors_from_external(coords, args.pieces)
-        runio.save_anchor_set(out_dir, anchor, {"pieces": args.pieces})
+        if coords.shape[0] != data.n_rows:
+            raise UsageError(f"--anchors has {coords.shape[0]} rows but --input has "
+                             f"{data.n_rows}")
+        anchor = pretrain.anchors_from_external(coords, args.L)
+        runio.save_anchor_set(out_dir, anchor, {"pieces": args.L})
         print(f"external anchors: K={anchor.n_anchors}")
         print("residual variances:", np.array2string(anchor.residual_variances))
         return 0
-    cfg = pretrain.DiffusionConfig(
-        epsilon_dm=args.epsilon_dm,
-        Q=args.q,
-        epsilon_local=args.epsilon_local,
-        delta=args.delta,
-        dimension_offset=args.dimension_offset,
-    )
-    anchor, decisions = pretrain.pretrain_with_decisions(data, cfg, args.pieces)
-    runio.save_anchor_set(out_dir, anchor, {"pieces": args.pieces, **decisions})
+    cfg = _config(pretrain.DiffusionConfig, args)
+    anchor, decisions = pretrain.pretrain_with_decisions(data, cfg, args.L)
+    runio.save_anchor_set(out_dir, anchor, {"pieces": args.L, **decisions})
     print(f"selected K={anchor.n_anchors}")
     print("mean local eigenvalues and successor ratios:")
     ratios = np.append(decisions["eigenvalue_ratios"], np.nan)
@@ -108,40 +106,30 @@ def _cmd_fit(args) -> int:
     if args.chains < 1:
         raise UsageError(f"--chains must be at least 1, got {args.chains}")
     data = _load_data(args.input)
-    if args.anchor_dir:
-        anchor = runio.load_anchor_set(args.anchor_dir)
-    else:
-        cfg = pretrain.DiffusionConfig(dimension_offset=args.dimension_offset)
-        anchor = pretrain.run_pretraining(data, cfg, args.pieces)
-    k = anchor.n_anchors
-    h = args.h_factors if args.h_factors is not None else k
+    anchor = runio.load_anchor_set(args.anchor_dir)
+    k, h = anchor.n_anchors, args.h_factors
+    if h is not None and h < k:
+        raise UsageError(f"--h-factors must be at least K={k}, the anchor count, got {h}")
     if args.assignment:
         assignment = FactorAssignment(
             np.array([int(x) for x in args.assignment.split(",")])
         )
         if assignment.n_locations != k:
-            raise UsageError("assignment K does not match the anchor count")
+            raise UsageError(f"--assignment covers K={assignment.n_locations} locations "
+                             f"but the anchors have K={k}")
+        if h is not None and assignment.n_factors != h:
+            raise UsageError(f"--assignment has {assignment.n_factors} entries "
+                             f"but --h-factors is {h}")
     else:
-        assignment = FactorAssignment.round_robin(h, k)
-    hp = Hyperparameters(
-        nu=args.nu,
-        sigma_a_sq=args.sigma_a_sq,
-        a_sigma=args.a_sigma,
-        b_sigma=args.b_sigma,
-        L=args.pieces,
-        mala_step=args.mala_step,
-        iterations=args.iterations,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        seed=args.seed,
-    )
+        assignment = FactorAssignment.round_robin(k if h is None else h, k)
+    hp = _config(Hyperparameters, args)
     augmented = DataMatrix(np.hstack([anchor.coordinates, data.values]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n = args.chains
     dirs = [out_dir] if n == 1 else [out_dir / f"chain_{c}" for c in range(n)]
-    jobs = [(augmented, anchor, hp if n == 1 else replace(hp, seed=hp.seed + c), assignment,
-             dirs[c]) for c in range(n)]
+    jobs = [(augmented, anchor, replace(hp, seed=hp.seed + c), assignment, dirs[c])
+            for c in range(n)]
     # S = min(chains, usable CPUs) slots: this process runs chains 0, S, 2S, ...
     # and S - 1 forked workers run the rest. A forked worker skips the package
     # import and inherits any patched module attribute; the pool forks all its
@@ -232,6 +220,26 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+# the flag of a config field whose flag is not its lower-case name in kebab case
+_FLAGS = {"L": "--pieces"}
+
+
+def _add_config_options(p, cls, names=None) -> None:
+    """Add an option for each field of the config dataclass `cls` (only those in
+    `names` if given), with the field's name as dest and its type and default."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if names is None or f.name in names:
+            flag = _FLAGS.get(f.name, "--" + f.name.lower().replace("_", "-"))
+            kind = (get_args(hints[f.name]) or (hints[f.name],))[0]  # float | None -> float
+            p.add_argument(flag, dest=f.name, type=kind, default=f.default)
+
+
+def _config(cls, args):
+    """The config dataclass `cls` built from the parsed options named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nifa",
@@ -253,32 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--anchors", default=None, help="externally computed anchor matrix")
-    p.add_argument("--pieces", type=int, default=20)
-    p.add_argument("--epsilon-dm", type=float, default=None)
-    p.add_argument("--q", type=int, default=5)
-    p.add_argument("--epsilon-local", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--dimension-offset", type=int, default=0)
+    _add_config_options(p, Hyperparameters, ["L"])
+    _add_config_options(p, pretrain.DiffusionConfig)
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("fit", help="run the posterior sampler")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--anchor-dir", default=None)
-    p.add_argument("--dimension-offset", type=int, default=0,
-                   help="used only when pretraining inline")
+    p.add_argument("--anchor-dir", required=True, help="written by `nifa pretrain`")
     p.add_argument("--h-factors", type=int, default=None)
     p.add_argument("--assignment", default=None, help="comma-separated k_h values")
-    p.add_argument("--nu", type=float, default=1e3)
-    p.add_argument("--sigma-a-sq", type=float, default=1.0)
-    p.add_argument("--a-sigma", type=float, default=100.0)
-    p.add_argument("--b-sigma", type=float, default=1.0)
-    p.add_argument("--pieces", type=int, default=20)
-    p.add_argument("--mala-step", type=float, default=1e-4)
-    p.add_argument("--iterations", type=int, default=10_000)
-    p.add_argument("--burn-in", type=int, default=5_000)
-    p.add_argument("--thin", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_options(p, Hyperparameters)
     p.add_argument("--chains", type=int, default=1)
     p.set_defaults(func=_cmd_fit)
 

@@ -22,10 +22,9 @@ class DegenerateLoadingError(ValueError):
 
 @dataclass(frozen=True)
 class AlignmentReport:
-    """Rotations, permutations and sign flips applied per sample and partition."""
+    """Permutations and sign flips applied per sample and partition."""
 
     pivot_index: int
-    rotations: tuple          # rotations[m][k] is the block-orthogonal matrix
     permutations: tuple       # permutations[m][k]: new col j came from old col perm[j]
     sign_flips: tuple         # sign_flips[m][k]: +-1 per column after permutation
     ties: tuple = ()          # (sample, partition) pairs where matching tied
@@ -116,9 +115,9 @@ def match_align(chain: PosteriorChain):
                     for idx in parts]
     lam = chain.loadings.copy()
     coef = chain.spline_coefficients.copy()
-    rotations, permutations, sign_flips, ties = [], [], [], []
+    permutations, sign_flips, ties = [], [], []
     for m in range(len(chain)):
-        rots_m, perms_m, signs_m = [], [], []
+        perms_m, signs_m = [], []
         for k, idx in enumerate(parts):
             _, r_orth = orthogonalize_partition(lam[m][:, idx])
             block = lam[m][:, idx] @ r_orth
@@ -131,16 +130,13 @@ def match_align(chain: PosteriorChain):
             rot = r_orth @ pmat
             lam[m][:, idx] = lam[m][:, idx] @ rot
             coef[m][:, idx] = coef[m][:, idx] @ rot
-            rots_m.append(rot)
             perms_m.append(perm.copy())
             signs_m.append(signs.copy())
-        rotations.append(tuple(rots_m))
         permutations.append(tuple(perms_m))
         sign_flips.append(tuple(signs_m))
 
     report = AlignmentReport(
         pivot_index=pivot_index,
-        rotations=tuple(rotations),
         permutations=tuple(permutations),
         sign_flips=tuple(sign_flips),
         ties=tuple(ties),

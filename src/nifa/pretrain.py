@@ -233,6 +233,8 @@ def anchor_residual_variance(column: np.ndarray, n_pieces: int):
     Ranks the column to u* = r/N, fits least squares on the intercept-plus-
     clamp basis, and returns (RSS / (N - L - 2), u*).
     """
+    if n_pieces < 1:
+        raise ValueError(f"the number of spline pieces must be at least 1, got {n_pieces}")
     col = np.asarray(column, dtype=float).ravel()
     n = col.size
     if n <= n_pieces + 2:

@@ -1,14 +1,18 @@
+import argparse
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nifa
-from nifa.cli import _usable_cpus, main
-from nifa.runio import load_anchor_set, load_chain, load_json, load_matrix
+from nifa.cli import _usable_cpus, build_parser, main
+from nifa.model import Hyperparameters
+from nifa.pretrain import DiffusionConfig
+from nifa.runio import load_anchor_set, load_chain, load_json, load_matrix, save_matrix
 
 
 def run(*args):
@@ -86,6 +90,29 @@ class TestPretrain:
         assert anchor.source == "external"
         assert anchor.n_anchors == 2
 
+    @pytest.mark.parametrize("external", [False, True], ids=["diffusion", "external"])
+    @pytest.mark.parametrize("pieces", ["0", "-3"])
+    def test_pieces_below_one_is_usage_error(self, workspace, tmp_path, capsys, pieces,
+                                             external):
+        extra = []
+        if external:
+            save_matrix(tmp_path / "ext.csv", np.random.default_rng(0).uniform(size=(60, 2)))
+            extra = ["--anchors", tmp_path / "ext.csv"]
+        assert run("pretrain", "--input", workspace / "data.csv", "--out-dir",
+                   tmp_path / "a", "--pieces", pieces, *extra) == 2
+        assert f"got {pieces}" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_anchor_row_count_must_match_input(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        save_matrix(tmp_path / "d.csv", rng.standard_normal((120, 3)))
+        save_matrix(tmp_path / "ext.csv", rng.uniform(size=(80, 2)))
+        assert run("pretrain", "--input", tmp_path / "d.csv", "--anchors",
+                   tmp_path / "ext.csv", "--out-dir", tmp_path / "a") == 2
+        err = capsys.readouterr().err
+        assert "80" in err and "120" in err
+        assert not (tmp_path / "a").exists()
+
 
 class TestFit:
     def test_run_directory_complete(self, workspace):
@@ -120,6 +147,115 @@ class TestFit:
         assert run("fit", "--input", workspace / "data.csv",
                    "--anchor-dir", workspace / "anchors",
                    "--out", tmp_path / "x", "--assignment", "1,2,3") == 2
+
+    @pytest.mark.parametrize("option", ["--anchor-dir", "--dimension-offset"])
+    def test_fit_does_not_pretrain(self, workspace, tmp_path, capsys, option):
+        # fit needs an anchor directory and takes no pretraining option
+        extra = [] if option == "--anchor-dir" else [
+            "--anchor-dir", workspace / "anchors", "--dimension-offset", "1"]
+        with pytest.raises(SystemExit) as exit_info:
+            run("fit", "--input", workspace / "data.csv", "--out", tmp_path / "x", *extra)
+        assert exit_info.value.code == 2
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+class Recorded(Exception):
+    """Raised by a patched stage function once it has recorded its arguments."""
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Patch `run_chain` and `pretrain_with_decisions` to record their arguments
+    and raise `Recorded`; returns the records by function name."""
+    import nifa.pretrain
+    import nifa.sampler
+
+    calls = {}
+
+    def recorder(name):
+        def record(*args):
+            calls[name] = args
+            raise Recorded
+        return record
+
+    monkeypatch.setattr(nifa.sampler, "run_chain", recorder("run_chain"))
+    monkeypatch.setattr(nifa.pretrain, "pretrain_with_decisions",
+                        recorder("pretrain_with_decisions"))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def two_anchors(workspace):
+    """An external K=2 anchor directory for the workspace data."""
+    ext = workspace / "ext2.csv"
+    save_matrix(ext, np.random.default_rng(1).uniform(size=(60, 2)))
+    assert run("pretrain", "--input", workspace / "data.csv", "--anchors", ext,
+               "--out-dir", workspace / "anchors2", "--pieces", "8") == 0
+    return workspace / "anchors2"
+
+
+class TestFactorOptions:
+    def fit(self, workspace, two_anchors, tmp_path, *options):
+        return run("fit", "--input", workspace / "data.csv", "--anchor-dir", two_anchors,
+                   "--out", tmp_path / "x", *options)
+
+    def test_h_factors_below_k_is_usage_error(self, workspace, two_anchors, tmp_path,
+                                              recorded, capsys):
+        assert self.fit(workspace, two_anchors, tmp_path, "--h-factors", "1") == 2
+        err = capsys.readouterr().err
+        assert "--h-factors" in err and "K=2" in err
+        assert recorded == {}
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("h_factors", ["4", "2"])
+    def test_assignment_length_must_match_h_factors(self, workspace, two_anchors, tmp_path,
+                                                    recorded, capsys, h_factors):
+        assert self.fit(workspace, two_anchors, tmp_path, "--h-factors", h_factors,
+                        "--assignment", "1,2,1") == 2
+        err = capsys.readouterr().err
+        assert "--assignment" in err and f"--h-factors is {h_factors}" in err
+        assert recorded == {}
+
+    def test_matching_options_reach_the_sampler(self, workspace, two_anchors, tmp_path,
+                                                recorded):
+        with pytest.raises(Recorded):
+            self.fit(workspace, two_anchors, tmp_path, "--h-factors", "4",
+                     "--assignment", "1,2,2,1")
+        assert recorded["run_chain"][3].k_of_h.tolist() == [1, 2, 2, 1]
+        with pytest.raises(Recorded):
+            self.fit(workspace, two_anchors, tmp_path, "--h-factors", "3")
+        assert recorded["run_chain"][3].k_of_h.tolist() == [1, 2, 1]
+
+
+class TestConfigDefaults:
+    """Every model option takes its default from its config dataclass."""
+
+    def test_fit_without_model_options_passes_default_hyperparameters(self, workspace,
+                                                                      tmp_path, recorded):
+        with pytest.raises(Recorded):
+            run("fit", "--input", workspace / "data.csv", "--anchor-dir",
+                workspace / "anchors", "--out", tmp_path / "x")
+        assert recorded["run_chain"][2] == Hyperparameters()
+
+    def test_pretrain_without_options_passes_default_config(self, workspace, tmp_path,
+                                                            recorded):
+        with pytest.raises(Recorded):
+            run("pretrain", "--input", workspace / "data.csv", "--out-dir", tmp_path / "a")
+        _, cfg, n_pieces = recorded["pretrain_with_decisions"]
+        assert cfg == DiffusionConfig()
+        assert n_pieces == Hyperparameters().L
+
+    @pytest.mark.parametrize("command, names", [
+        ("fit", [f.name for f in fields(Hyperparameters)]),
+        ("pretrain", [f.name for f in fields(DiffusionConfig)] + ["L"]),
+    ], ids=["fit", "pretrain"])
+    def test_every_field_has_an_option(self, command, names):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest: a for a in sub.choices[command]._actions if a.option_strings}
+        assert set(names) <= options.keys()
+        assert options["L"].option_strings == ["--pieces"]
 
 
 CHAIN_ARGS = ("--iterations", "40", "--burn-in", "20", "--thin", "10", "--pieces", "8",
