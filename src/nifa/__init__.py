@@ -10,12 +10,9 @@ from .model import (
     DomainError,
     FactorAssignment,
     Hyperparameters,
-    NiftyState,
-    PiecewiseLinearMap,
     ShapeError,
     log_likelihood,
     spline_basis,
-    spline_eval,
 )
 from .pretrain import (
     AnchorSet,
@@ -65,8 +62,6 @@ __all__ = [
     "DomainError",
     "FactorAssignment",
     "Hyperparameters",
-    "NiftyState",
-    "PiecewiseLinearMap",
     "PosteriorChain",
     "ShapeError",
     "anchors_from_external",
@@ -95,7 +90,6 @@ __all__ = [
     "sliced_wasserstein",
     "sliced_wasserstein_details",
     "spline_basis",
-    "spline_eval",
     "summarize",
     "wasserstein2_1d",
 ]

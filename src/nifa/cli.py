@@ -122,6 +122,10 @@ def _cmd_fit(args) -> int:
                              f"but --h-factors is {h}")
     else:
         assignment = FactorAssignment.round_robin(k if h is None else h, k)
+    pieces = runio.load_json(Path(args.anchor_dir) / "anchor_meta.json").get("pieces")
+    if pieces is not None and pieces != args.L:
+        raise UsageError(f"--pieces {args.L} differs from the {pieces} pieces that the "
+                         f"anchors in {args.anchor_dir} were fit with")
     hp = _config(Hyperparameters, args)
     augmented = DataMatrix(np.hstack([anchor.coordinates, data.values]))
     out_dir = Path(args.out)

@@ -3,7 +3,7 @@
 The generative model is x_i = Lambda * eta_i + eps_i with eta_ih = g_h(u_{i,k_h}),
 where each g_h is a piecewise-linear map on [0,1] and the latent locations u are
 uniform on [0,1]. The H maps are held as one (L+1) x H coefficient matrix, row 0
-the intercepts; the record types here describe one draw for callers that want it.
+the intercepts.
 """
 
 from __future__ import annotations
@@ -122,6 +122,11 @@ def spline_piece(u, n_pieces: int) -> np.ndarray:
     return np.minimum((u * n_pieces).astype(int), n_pieces - 1)
 
 
+# PiecewiseLinearMap, NiftyState and PosteriorChain.samples, which builds them,
+# stay only because perfbench/ reads them; its next revision moves to the chain
+# arrays and deletes them. The library itself works on the arrays.
+
+
 @dataclass(frozen=True)
 class PiecewiseLinearMap:
     """Continuous piecewise-linear function on [0,1] with evenly spaced knots.
@@ -144,16 +149,12 @@ class PiecewiseLinearMap:
         return self.slopes.size
 
     def __call__(self, u):
-        return spline_eval(self, u)
-
-
-def spline_eval(s: PiecewiseLinearMap, u):
-    """Evaluate a piecewise-linear map at u in [0,1] (scalar or array)."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise DomainError("spline argument must lie in [0,1]")
-    val = s.intercept + spline_basis(arr, s.n_pieces) @ s.slopes
-    return float(val) if np.isscalar(u) or arr.ndim == 0 else val
+        """Evaluate at u in [0,1] (scalar or array)."""
+        arr = np.asarray(u, dtype=float)
+        if np.any(arr < 0) or np.any(arr > 1):
+            raise DomainError("spline argument must lie in [0,1]")
+        val = self.intercept + spline_basis(arr, self.n_pieces) @ self.slopes
+        return float(val) if np.isscalar(u) or arr.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -193,22 +194,6 @@ class NiftyState:
         object.__setattr__(self, "global_scale", float(self.global_scale))
         object.__setattr__(self, "splines", splines)
 
-    @property
-    def n_rows(self) -> int:
-        return self.latent_locations.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.loadings.shape[0]
-
-    @property
-    def n_factors(self) -> int:
-        return self.loadings.shape[1]
-
-    @property
-    def n_locations(self) -> int:
-        return self.latent_locations.shape[1]
-
 
 @dataclass(frozen=True)
 class Hyperparameters:
@@ -236,16 +221,11 @@ class Hyperparameters:
             raise ValueError("burn_in must be smaller than iterations")
 
 
-def spline_coefficients(splines) -> np.ndarray:
-    """(L+1) x H coefficient matrix of H maps; row 0 holds the intercepts."""
-    return np.column_stack([np.concatenate([[g.intercept], g.slopes]) for g in splines])
-
-
 def eta(coefficients: np.ndarray, u: np.ndarray, assignment: FactorAssignment) -> np.ndarray:
     """Latent factors as an N x H matrix: eta[:, h] = g_h(u[:, k_h]).
 
-    ``coefficients`` is the (L+1) x H matrix of ``spline_coefficients``; the
-    locations ``u`` (N x K) must lie in [0,1].
+    ``coefficients`` is the (L+1) x H spline coefficient matrix, row 0 the
+    intercepts; the locations ``u`` (N x K) must lie in [0,1].
     """
     n_pieces = coefficients.shape[0] - 1
     k0 = assignment.zero_based

@@ -227,14 +227,18 @@ def estimate_dimension(mean_eigenvalues: np.ndarray, delta: float) -> int:
     return max(qualifying) if qualifying else 1
 
 
+def _check_pieces(n_pieces: int) -> None:
+    if n_pieces < 1:
+        raise ValueError(f"the number of spline pieces must be at least 1, got {n_pieces}")
+
+
 def anchor_residual_variance(column: np.ndarray, n_pieces: int):
     """Residual variance of a candidate anchor column.
 
     Ranks the column to u* = r/N, fits least squares on the intercept-plus-
     clamp basis, and returns (RSS / (N - L - 2), u*).
     """
-    if n_pieces < 1:
-        raise ValueError(f"the number of spline pieces must be at least 1, got {n_pieces}")
+    _check_pieces(n_pieces)
     col = np.asarray(column, dtype=float).ravel()
     n = col.size
     if n <= n_pieces + 2:
@@ -263,8 +267,10 @@ def pretrain_with_decisions(data: DataMatrix, cfg: DiffusionConfig, n_pieces: in
     Returns (AnchorSet, decisions). ``decisions`` records the configuration
     with both bandwidths as used, the diffusion eigenvalues, the eigensolver
     that produced them, the mean local eigenvalues and their successor ratios
-    (NaN after a non-positive one).
+    (NaN after a non-positive one). An invalid ``n_pieces`` is rejected before
+    the embedding starts.
     """
+    _check_pieces(n_pieces)
     eps_dm = cfg.epsilon_dm if cfg.epsilon_dm is not None else default_epsilon_dm(data)
     eigenvalues, coords, solver = diffusion_spectrum(data, replace(cfg, epsilon_dm=eps_dm))
     eps_local = (cfg.epsilon_local if cfg.epsilon_local is not None

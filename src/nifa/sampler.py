@@ -29,7 +29,6 @@ from .model import (
     eta,
     log_likelihood,
     rank_transform,
-    spline_coefficients,
     spline_design,
     spline_piece,
 )
@@ -89,18 +88,6 @@ class PosteriorChain:
             raise ValueError("variances and shrinkage scales must be positive")
         if np.any(u < 0) or np.any(u > 1):
             raise DomainError("latent locations must lie in [0,1]")
-
-    @classmethod
-    def from_states(cls, states, diagnostics: ChainDiagnostics, config: Hyperparameters,
-                    anchor: AnchorSet) -> "PosteriorChain":
-        """Stack NiftyState records; they share the first record's assignment."""
-        if not states:
-            raise ValueError("a chain needs at least one retained draw")
-        draws = [(s.loadings, spline_coefficients(s.splines), s.latent_locations,
-                  s.residual_variances, s.local_scales, s.global_scale) for s in states]
-        return cls(**dict(zip(CHAIN_ARRAYS, map(np.stack, zip(*draws)))),
-                   assignment=states[0].assignment, diagnostics=diagnostics, config=config,
-                   anchor=anchor)
 
     @cached_property
     def samples(self) -> tuple:

@@ -22,10 +22,7 @@ from nifa.model import (
     DataMatrix,
     FactorAssignment,
     Hyperparameters,
-    PiecewiseLinearMap,
     eta,
-    spline_coefficients,
-    spline_eval,
 )
 from nifa.postprocess import match_align, postprocess_chain
 from nifa.pretrain import DiffusionConfig, run_pretraining
@@ -89,7 +86,7 @@ def test_criterion_1_loading_recovery(capsys):
         chain, _ = fit(data, DiffusionConfig(dimension_offset=1), 1, hp)
         aligned, _ = postprocess_chain(chain)
         k = chain.anchor.n_anchors
-        lam_hat = np.mean([s.loadings for s in aligned.samples], axis=0)[k:, :]
+        lam_hat = np.mean(aligned.loadings, axis=0)[k:, :]
         errs[n] = _loading_error(lam_hat, lam_true)
     ok = errs[800] <= 0.5 * errs[100] and errs[800] <= 0.15
     _report(capsys, "1 loading recovery", ok,
@@ -175,9 +172,9 @@ def test_criterion_3_uniform_constraint(capsys):
         hp = Hyperparameters(nu=nu, iterations=20000, burn_in=10000, thin=20, seed=11)
         chain, _ = fit(gen_setting1(100, 0), DiffusionConfig(dimension_offset=1), 1, hp)
         worst[nu] = max(
-            ks_to_uniform(s.latent_locations[:, k])
-            for s in chain.samples
-            for k in range(s.n_locations)
+            ks_to_uniform(u[:, k])
+            for u in chain.latent_locations
+            for k in range(u.shape[1])
         )
     ok = worst[1e3] < 0.1 and worst[0.0] > 0.1
     _report(capsys, "3 uniform constraint", ok,
@@ -189,12 +186,9 @@ def test_criterion_3_uniform_constraint(capsys):
 
 
 def _mean_surfaces(chain, grid):
-    k0 = chain.samples[0].assignment.zero_based
-    out = []
-    for s in chain.samples:
-        g = np.column_stack([spline_eval(sp, grid) for sp in s.splines])
-        out.append(g @ s.loadings.T)
-    return np.array(out)
+    grid_u = np.repeat(grid[:, None], chain.assignment.n_locations, axis=1)
+    return np.array([eta(c, grid_u, chain.assignment) @ lam.T
+                     for lam, c in zip(chain.loadings, chain.spline_coefficients)])
 
 
 def test_criterion_4_postprocessing(capsys):
@@ -206,8 +200,8 @@ def test_criterion_4_postprocessing(capsys):
     after = _mean_surfaces(aligned, grid)
     sup = float(np.max(np.abs(after - before)))
     norm_err = max(
-        float(np.max(np.abs(np.linalg.norm(s.loadings, axis=0) - 1.0)))
-        for s in aligned.samples
+        float(np.max(np.abs(np.linalg.norm(lam, axis=0) - 1.0)))
+        for lam in aligned.loadings
     )
     # idempotency applies to the alignment step itself; the final unit-norm
     # rescaling equalizes all singular values of a partition, so a repeated
@@ -215,8 +209,8 @@ def test_criterion_4_postprocessing(capsys):
     once, _ = match_align(chain)
     twice, _ = match_align(once)
     idem = max(
-        float(np.max(np.abs(a.loadings - b.loadings)))
-        for a, b in zip(once.samples, twice.samples)
+        float(np.max(np.abs(a - b)))
+        for a, b in zip(once.loadings, twice.loadings)
     )
     ok = sup < 1e-8 and norm_err < 1e-12 and idem < 1e-10
     _report(capsys, "4 identifiability post-processing", ok,
@@ -279,7 +273,7 @@ def test_criterion_5a_gradient(capsys):
 def test_criterion_5b_conjugate_blocks(capsys):
     rng = np.random.default_rng(7)
     asg = FactorAssignment.round_robin(1, 1)
-    g = PiecewiseLinearMap(0.2, np.array([0.8, 1.1, 0.6]))
+    coef = np.array([[0.2], [0.8], [1.1], [0.6]])  # intercept, then the slopes
     n = 8
     lam = np.array([[0.7]])
     u = rng.uniform(0.1, 0.9, size=(n, 1))
@@ -287,12 +281,12 @@ def test_criterion_5b_conjugate_blocks(capsys):
     prior_var = 1.1 * np.array([[0.9]])
     data = DataMatrix(rng.normal(size=(n, 1)))
     hp = Hyperparameters(a_sigma=3.0, b_sigma=0.5, sigma_a_sq=1.0, L=3)
-    factors = eta(spline_coefficients((g,)), u, asg)
+    factors = eta(coef, u, asg)
 
     # loadings row: quadrature over a dense grid of the exact conditional
     mean, _ = loadings_posterior(factors, sig, prior_var, data)
     grid = np.linspace(-30, 30, 1_200_001)
-    eta_u = spline_eval(g, u[:, 0])
+    eta_u = factors[:, 0]
     loglik = -0.5 * np.sum(
         (data.values[:, 0][:, None] - np.outer(eta_u, grid)) ** 2, axis=0
     ) / 0.4
@@ -309,7 +303,7 @@ def test_criterion_5b_conjugate_blocks(capsys):
 
     # spline block: conditional mean of the intercept coordinate
     prec, lin = spline_posterior(lam, sig, u, asg, data, hp)
-    beta = np.concatenate([[g.intercept], g.slopes])
+    beta = coef[:, 0]
     c = 0
     cond_mean = (lin[c] - prec[c] @ beta + prec[c, c] * beta[c]) / prec[c, c]
     bgrid = np.linspace(-30, 30, 1_200_001)

@@ -92,8 +92,16 @@ class TestPretrain:
 
     @pytest.mark.parametrize("external", [False, True], ids=["diffusion", "external"])
     @pytest.mark.parametrize("pieces", ["0", "-3"])
-    def test_pieces_below_one_is_usage_error(self, workspace, tmp_path, capsys, pieces,
-                                             external):
+    def test_pieces_below_one_is_usage_error(self, workspace, tmp_path, capsys, monkeypatch,
+                                             pieces, external):
+        import nifa.pretrain
+
+        def embedding_started(*args, **kwargs):
+            raise AssertionError("rejected only after the embedding started")
+
+        # the number of pieces is checked before any embedding work
+        for name in ("default_epsilon_dm", "diffusion_spectrum"):
+            monkeypatch.setattr(nifa.pretrain, name, embedding_started)
         extra = []
         if external:
             save_matrix(tmp_path / "ext.csv", np.random.default_rng(0).uniform(size=(60, 2)))
@@ -141,7 +149,16 @@ class TestFit:
         c0 = load_chain(out / "chain_0")
         c1 = load_chain(out / "chain_1")
         assert c0.config.seed == 3 and c1.config.seed == 4
-        assert not np.allclose(c0.samples[0].loadings, c1.samples[0].loadings)
+        assert not np.allclose(c0.loadings[0], c1.loadings[0])
+
+    def test_pieces_must_match_the_anchors(self, workspace, tmp_path, capsys):
+        # the workspace anchors were fit with 8 pieces
+        assert run("fit", "--input", workspace / "data.csv",
+                   "--anchor-dir", workspace / "anchors", "--out", tmp_path / "x",
+                   "--pieces", "20") == 2
+        err = capsys.readouterr().err
+        assert "--pieces 20" in err and "8 pieces" in err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_assignment_is_usage_error(self, workspace, tmp_path):
         assert run("fit", "--input", workspace / "data.csv",
@@ -187,11 +204,12 @@ def recorded(monkeypatch):
 
 @pytest.fixture(scope="module")
 def two_anchors(workspace):
-    """An external K=2 anchor directory for the workspace data."""
+    """An external K=2 anchor directory for the workspace data, fit with the
+    default number of pieces, which a fit without --pieces must match."""
     ext = workspace / "ext2.csv"
     save_matrix(ext, np.random.default_rng(1).uniform(size=(60, 2)))
     assert run("pretrain", "--input", workspace / "data.csv", "--anchors", ext,
-               "--out-dir", workspace / "anchors2", "--pieces", "8") == 0
+               "--out-dir", workspace / "anchors2") == 0
     return workspace / "anchors2"
 
 
@@ -232,10 +250,11 @@ class TestConfigDefaults:
     """Every model option takes its default from its config dataclass."""
 
     def test_fit_without_model_options_passes_default_hyperparameters(self, workspace,
-                                                                      tmp_path, recorded):
+                                                                      two_anchors, tmp_path,
+                                                                      recorded):
         with pytest.raises(Recorded):
-            run("fit", "--input", workspace / "data.csv", "--anchor-dir",
-                workspace / "anchors", "--out", tmp_path / "x")
+            run("fit", "--input", workspace / "data.csv", "--anchor-dir", two_anchors,
+                "--out", tmp_path / "x")
         assert recorded["run_chain"][2] == Hyperparameters()
 
     def test_pretrain_without_options_passes_default_config(self, workspace, tmp_path,
@@ -358,8 +377,7 @@ class TestPostprocess:
     def test_unit_norm_columns(self, workspace):
         arr, _ = load_matrix(workspace / "run" / "summaries" / "loadings_mean.csv")
         aligned = load_chain(workspace / "run" / "aligned")
-        for s in aligned.samples:
-            assert np.allclose(np.linalg.norm(s.loadings, axis=0), 1.0, atol=1e-10)
+        assert np.allclose(np.linalg.norm(aligned.loadings, axis=1), 1.0, atol=1e-10)
 
     def test_missing_run_is_input_error(self, tmp_path):
         assert run("postprocess", tmp_path / "nope") == 2
@@ -374,7 +392,7 @@ class TestGenerate:
                    "--out", b) == 0
         arr, _ = load_matrix(a)
         chain = load_chain(workspace / "run")
-        assert arr.shape == (15, chain.samples[0].n_features)
+        assert arr.shape == (15, chain.loadings.shape[1])
         assert a.read_text() == b.read_text()
 
     def test_zero_rows(self, workspace, tmp_path):

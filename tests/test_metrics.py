@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,8 @@ from nifa.model import (
     DomainError,
     FactorAssignment,
     Hyperparameters,
-    NiftyState,
-    PiecewiseLinearMap,
     ShapeError,
     eta,
-    spline_coefficients,
 )
 from nifa.pretrain import AnchorSet
 from nifa.sampler import ChainDiagnostics, PosteriorChain
@@ -171,26 +170,25 @@ def linear_chain(n=400, p=5, h=2, seed=0, eta_law="normal"):
         # monotone piecewise-linear approximation of the normal quantile
         knots = np.linspace(0, 1, L + 1)
         vals = norm.ppf(np.clip(knots, 1e-6, 1 - 1e-6))
-        slopes = np.diff(vals) * L
-        splines = [PiecewiseLinearMap(vals[0], slopes) for _ in range(h)]
+        coef = np.concatenate([[vals[0]], np.diff(vals) * L])
     else:
-        splines = [PiecewiseLinearMap(0.0, np.ones(L) * 2.0) for _ in range(h)]
+        coef = np.concatenate([[0.0], np.ones(L) * 2.0])
         u = rng.beta(0.4, 0.4, size=(n, h))
-    state = NiftyState(
-        loadings=lam,
-        splines=tuple(splines),
-        latent_locations=u,
-        residual_variances=np.full(p, 0.04),
-        local_scales=np.ones((p, h)),
-        global_scale=1.0,
-        assignment=FactorAssignment.round_robin(h, h),
-    )
-    factors = eta(spline_coefficients(state.splines), u, state.assignment)
+    coef = np.repeat(coef[:, None], h, axis=1)
+    assignment = FactorAssignment.round_robin(h, h)
+    factors = eta(coef, u, assignment)
     data = DataMatrix(factors @ lam.T + 0.2 * rng.standard_normal((n, p)))
-    chain = PosteriorChain.from_states(
-        (state,), ChainDiagnostics(np.zeros(1), 0.5, np.zeros(5)),
-        Hyperparameters(L=L),
-        AnchorSet(u[:, :1], np.array([0.01])),
+    chain = PosteriorChain(
+        loadings=lam[None],
+        spline_coefficients=coef[None],
+        latent_locations=u[None],
+        residual_variances=np.full((1, p), 0.04),
+        local_scales=np.ones((1, p, h)),
+        global_scale=np.ones(1),
+        assignment=assignment,
+        diagnostics=ChainDiagnostics(np.zeros(1), 0.5, np.zeros(5)),
+        config=Hyperparameters(L=L),
+        anchor=AnchorSet(u[:, :1], np.array([0.01])),
     )
     return chain, data
 
@@ -220,7 +218,5 @@ class TestCovarianceEstimators:
     def test_empty_chain_rejected(self):
         chain, data = linear_chain(seed=17)
         with pytest.raises(ValueError):
-            covariance_estimators(PosteriorChain.from_states(
-                (), ChainDiagnostics(np.empty(0), 0.0, np.zeros(5)),
-                chain.config, chain.anchor,
-            ), data)
+            covariance_estimators(replace(
+                chain, diagnostics=ChainDiagnostics(np.empty(0), 0.0, np.zeros(5))), data)

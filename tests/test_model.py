@@ -13,26 +13,34 @@ from nifa.model import (
     log_likelihood,
     rank_transform,
     spline_basis,
-    spline_coefficients,
     spline_design,
     spline_piece,
 )
 
 
 def make_state(n=6, p=3, h=2, k=2, L=4, seed=0):
+    """One draw as the arrays the chain stacks, plus its assignment."""
     rng = np.random.default_rng(seed)
-    return NiftyState(
+    return dict(
         loadings=rng.standard_normal((p, h)),
-        splines=tuple(
-            PiecewiseLinearMap(rng.standard_normal(), rng.uniform(0.1, 2.0, L))
+        spline_coefficients=np.column_stack([
+            np.concatenate([[rng.standard_normal()], rng.uniform(0.1, 2.0, L)])
             for _ in range(h)
-        ),
+        ]),
         latent_locations=rng.uniform(size=(n, k)),
         residual_variances=rng.uniform(0.5, 2.0, p),
         local_scales=rng.uniform(0.5, 2.0, (p, h)),
         global_scale=1.0,
         assignment=FactorAssignment.round_robin(h, k),
     )
+
+
+def make_record(st):
+    """The NiftyState record of a draw from ``make_state``."""
+    splines = tuple(PiecewiseLinearMap(c[0], c[1:]) for c in st["spline_coefficients"].T)
+    return NiftyState(st["loadings"], splines, st["latent_locations"],
+                      st["residual_variances"], st["local_scales"], st["global_scale"],
+                      st["assignment"])
 
 
 class TestDataMatrix:
@@ -143,31 +151,25 @@ class TestPiecewiseLinearMap:
 class TestState:
     def test_factor_matrix_matches_rowwise(self):
         st = make_state()
-        factors = eta(spline_coefficients(st.splines), st.latent_locations, st.assignment)
-        k0 = st.assignment.zero_based
-        for i in range(st.n_rows):
-            u = st.latent_locations[i]
-            assert np.allclose(factors[i], [g(u[k0[h]]) for h, g in enumerate(st.splines)])
+        factors = eta(st["spline_coefficients"], st["latent_locations"], st["assignment"])
+        k0 = st["assignment"].zero_based
+        splines = make_record(st).splines
+        for i, u in enumerate(st["latent_locations"]):
+            assert np.allclose(factors[i], [g(u[k0[h]]) for h, g in enumerate(splines)])
 
     def test_rejects_out_of_range_locations(self):
         st = make_state()
-        bad = st.latent_locations.copy()
+        bad = st["latent_locations"].copy()
         bad[0, 0] = 1.2
         with pytest.raises(DomainError):
-            NiftyState(
-                st.loadings, st.splines, bad, st.residual_variances,
-                st.local_scales, st.global_scale, st.assignment,
-            )
+            make_record(st | {"latent_locations": bad})
 
     def test_rejects_nonpositive_variance(self):
         st = make_state()
-        bad = st.residual_variances.copy()
+        bad = st["residual_variances"].copy()
         bad[0] = 0.0
         with pytest.raises(ValueError):
-            NiftyState(
-                st.loadings, st.splines, st.latent_locations, bad,
-                st.local_scales, st.global_scale, st.assignment,
-            )
+            make_record(st | {"residual_variances": bad})
 
 
 class TestLogLikelihood:
@@ -175,20 +177,19 @@ class TestLogLikelihood:
         from scipy.stats import norm
 
         st = make_state(seed=7)
+        sig, n = st["residual_variances"], st["latent_locations"].shape[0]
         rng = np.random.default_rng(11)
-        data = DataMatrix(rng.standard_normal((st.n_rows, st.n_features)))
-        mm = rng.standard_normal((st.n_rows, st.n_features))
-        expected = norm.logpdf(
-            data.values, loc=mm, scale=np.sqrt(st.residual_variances)
-        ).sum()
-        assert log_likelihood(mm, st.residual_variances, data) == pytest.approx(expected,
-                                                                               rel=1e-12)
+        data = DataMatrix(rng.standard_normal((n, sig.size)))
+        mm = rng.standard_normal((n, sig.size))
+        expected = norm.logpdf(data.values, loc=mm, scale=np.sqrt(sig)).sum()
+        assert log_likelihood(mm, sig, data) == pytest.approx(expected, rel=1e-12)
 
     def test_shape_mismatch(self):
         st = make_state()
-        data = DataMatrix(np.ones((st.n_rows, st.n_features + 1)))
+        sig, n = st["residual_variances"], st["latent_locations"].shape[0]
+        data = DataMatrix(np.ones((n, sig.size + 1)))
         with pytest.raises(ShapeError):
-            log_likelihood(np.zeros((st.n_rows, st.n_features)), st.residual_variances, data)
+            log_likelihood(np.zeros((n, sig.size)), sig, data)
 
 
 class TestHyperparameters:

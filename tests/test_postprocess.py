@@ -1,13 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nifa.model import (
-    FactorAssignment,
-    Hyperparameters,
-    NiftyState,
-    PiecewiseLinearMap,
-    spline_coefficients,
-)
+from nifa.model import FactorAssignment, Hyperparameters, eta
 from nifa.postprocess import (
     DegenerateLoadingError,
     _greedy_match,
@@ -19,25 +15,32 @@ from nifa.postprocess import (
     varimax_rotation,
 )
 from nifa.pretrain import AnchorSet
-from nifa.sampler import ChainDiagnostics, PosteriorChain
+from nifa.sampler import CHAIN_ARRAYS, ChainDiagnostics, PosteriorChain
 
 GRID = np.linspace(0.0, 1.0, 101)
 
 
 def mapped_product(state):
     """Lambda * g evaluated on the shared u-grid; invariant under alignment."""
-    eta = np.column_stack([g(GRID) for g in state.splines])
-    return eta @ state.loadings.T
+    asg = state["assignment"]
+    grid_u = np.repeat(GRID[:, None], asg.n_locations, axis=1)
+    return eta(state["spline_coefficients"], grid_u, asg) @ state["loadings"].T
+
+
+def draw(chain, m):
+    """Draw m of a chain as the arrays named in CHAIN_ARRAYS, plus the assignment."""
+    arrays = {name: getattr(chain, name)[m] for name in CHAIN_ARRAYS}
+    return arrays | {"assignment": chain.assignment}
 
 
 def base_state(seed=0, p=6, h=4, k=2, L=5):
     rng = np.random.default_rng(seed)
-    return NiftyState(
+    return dict(
         loadings=rng.standard_normal((p, h)),
-        splines=tuple(
-            PiecewiseLinearMap(rng.standard_normal() * 0.2, rng.uniform(0.1, 1.0, L))
+        spline_coefficients=np.column_stack([
+            np.concatenate([[rng.standard_normal() * 0.2], rng.uniform(0.1, 1.0, L)])
             for _ in range(h)
-        ),
+        ]),
         latent_locations=rng.uniform(size=(12, k)),
         residual_variances=rng.uniform(0.5, 1.5, p),
         local_scales=np.ones((p, h)),
@@ -49,22 +52,15 @@ def base_state(seed=0, p=6, h=4, k=2, L=5):
 def rotated_copy(state, seed):
     """Apply a random rotation within each shared-location partition."""
     rng = np.random.default_rng(seed)
-    lam = state.loadings.copy()
-    splines = list(state.splines)
-    k0 = state.assignment.zero_based
-    for k in range(state.n_locations):
+    lam = state["loadings"].copy()
+    coef = state["spline_coefficients"].copy()
+    k0 = state["assignment"].zero_based
+    for k in range(state["assignment"].n_locations):
         idx = np.flatnonzero(k0 == k)
         q, _ = np.linalg.qr(rng.standard_normal((idx.size, idx.size)))
         lam[:, idx] = lam[:, idx] @ q
-        coef = np.column_stack(
-            [np.concatenate([[splines[h].intercept], splines[h].slopes]) for h in idx]
-        ) @ q
-        for pos, h in enumerate(idx):
-            splines[h] = PiecewiseLinearMap(coef[0, pos], coef[1:, pos])
-    return NiftyState(
-        lam, tuple(splines), state.latent_locations, state.residual_variances,
-        state.local_scales, state.global_scale, state.assignment,
-    )
+        coef[:, idx] = coef[:, idx] @ q
+    return state | {"loadings": lam, "spline_coefficients": coef}
 
 
 def make_chain(n_samples=6, seed=0):
@@ -75,7 +71,9 @@ def make_chain(n_samples=6, seed=0):
     trace[0] = 10.0  # make the untouched base state the pivot
     diag = ChainDiagnostics(trace, 0.5, np.zeros(5))
     anchor = AnchorSet(np.zeros((12, 2)) + rng.uniform(size=(12, 2)), np.array([0.01, 0.01]))
-    return PosteriorChain.from_states(samples, diag, Hyperparameters(L=5), anchor)
+    stacks = {name: np.stack([s[name] for s in samples]) for name in CHAIN_ARRAYS}
+    return PosteriorChain(**stacks, assignment=base["assignment"], diagnostics=diag,
+                          config=Hyperparameters(L=5), anchor=anchor)
 
 
 class TestVarimax:
@@ -146,18 +144,14 @@ class TestMatchAlign:
     def test_preserves_mapped_product(self):
         chain = make_chain()
         aligned, _ = match_align(chain)
-        for before, after in zip(chain.samples, aligned.samples):
+        for m in range(len(chain)):
+            before, after = draw(chain, m), draw(aligned, m)
             assert np.max(np.abs(mapped_product(before) - mapped_product(after))) < 1e-8
 
     def test_collapses_rotation_scatter(self):
         chain = make_chain()
         aligned, _ = match_align(chain)
-        ref = None
-        for s in aligned.samples:
-            out = s.loadings
-            if ref is None:
-                ref = out
-            assert np.allclose(out, ref, atol=1e-6)
+        assert np.allclose(aligned.loadings, aligned.loadings[0], atol=1e-6)
 
     def test_pivot_is_top_log_posterior(self):
         chain = make_chain()
@@ -168,29 +162,24 @@ class TestMatchAlign:
         chain = make_chain()
         once, _ = match_align(chain)
         twice, rep2 = match_align(once)
-        for s1, s2 in zip(once.samples, twice.samples):
-            assert np.allclose(s1.loadings, s2.loadings, atol=1e-8)
-            for g1, g2 in zip(s1.splines, s2.splines):
-                assert g1.intercept == pytest.approx(g2.intercept, abs=1e-8)
-                assert np.allclose(g1.slopes, g2.slopes, atol=1e-8)
+        assert np.allclose(once.loadings, twice.loadings, atol=1e-8)
+        c1, c2 = once.spline_coefficients, twice.spline_coefficients
+        assert c1[:, 0] == pytest.approx(c2[:, 0], abs=1e-8)
+        assert np.allclose(c1[:, 1:], c2[:, 1:], atol=1e-8)
 
     def test_empty_chain_rejected(self):
         chain = make_chain()
         with pytest.raises(ValueError):
-            match_align(PosteriorChain.from_states(
-                (), ChainDiagnostics(np.empty(0), 0.0, np.zeros(5)),
-                chain.config, chain.anchor,
-            ))
+            match_align(replace(
+                chain, diagnostics=ChainDiagnostics(np.empty(0), 0.0, np.zeros(5))))
 
 
 class TestNormalize:
     def test_unit_norms_and_preserved_product(self):
         st = base_state(seed=8)
-        lam, coef = normalize_columns(st.loadings, spline_coefficients(st.splines))
-        out = NiftyState(lam, [PiecewiseLinearMap(c[0], c[1:]) for c in coef.T],
-                         st.latent_locations, st.residual_variances, st.local_scales,
-                         st.global_scale, st.assignment)
-        assert np.allclose(np.linalg.norm(out.loadings, axis=0), 1.0, atol=1e-12)
+        lam, coef = normalize_columns(st["loadings"], st["spline_coefficients"])
+        out = st | {"loadings": lam, "spline_coefficients": coef}
+        assert np.allclose(np.linalg.norm(lam, axis=0), 1.0, atol=1e-12)
         assert np.max(np.abs(mapped_product(st) - mapped_product(out))) < 1e-10
 
     def test_stack_matches_single_draws(self):
@@ -202,10 +191,10 @@ class TestNormalize:
 
     def test_zero_column_raises(self):
         st = base_state(seed=9)
-        lam = st.loadings.copy()
+        lam = st["loadings"].copy()
         lam[:, 1] = 0.0
         with pytest.raises(DegenerateLoadingError):
-            normalize_columns(lam, spline_coefficients(st.splines))
+            normalize_columns(lam, st["spline_coefficients"])
 
 
 class TestPipeline:
@@ -213,15 +202,16 @@ class TestPipeline:
         chain = make_chain(seed=10)
         out, report = postprocess_chain(chain)
         assert len(out) == len(chain)
-        for before, after in zip(chain.samples, out.samples):
-            assert np.linalg.norm(after.loadings, axis=0) == pytest.approx(1.0)
+        for m in range(len(chain)):
+            before, after = draw(chain, m), draw(out, m)
+            assert np.linalg.norm(after["loadings"], axis=0) == pytest.approx(1.0)
             assert np.max(np.abs(mapped_product(before) - mapped_product(after))) < 1e-8
 
     def test_summarize_shapes(self):
         chain = make_chain(seed=11)
         out, _ = postprocess_chain(chain)
         s = summarize(out, n_grid=51)
-        p, h = out.samples[0].loadings.shape
+        p, h = out.loadings.shape[1:]
         assert s["u_grid"].shape == (51,)
         assert s["loadings_mean"].shape == (p, h)
         assert s["mappings_mean"].shape == (51, h)
@@ -229,10 +219,11 @@ class TestPipeline:
 
     def test_summarize_interval_covers_mean_of_constant_chain(self):
         chain = make_chain(seed=12)
-        single = PosteriorChain.from_states(
-            (chain.samples[0],) * 4,
-            ChainDiagnostics(np.zeros(4), 0.5, np.zeros(5)),
-            chain.config, chain.anchor,
+        single = PosteriorChain(
+            **{name: np.repeat(getattr(chain, name)[:1], 4, axis=0) for name in CHAIN_ARRAYS},
+            assignment=chain.assignment,
+            diagnostics=ChainDiagnostics(np.zeros(4), 0.5, np.zeros(5)),
+            config=chain.config, anchor=chain.anchor,
         )
         s = summarize(single)
         assert np.allclose(s["loadings_lower"], s["loadings_upper"])

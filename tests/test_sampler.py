@@ -19,7 +19,6 @@ from nifa.model import (
 from nifa.pretrain import AnchorSet
 from nifa.sampler import (
     CHAIN_ARRAYS,
-    PosteriorChain,
     _truncated_standard_normal,
     initial_state,
     loadings_posterior,
@@ -532,9 +531,8 @@ class TestChain:
         asg = FactorAssignment(np.array([1]))
         c1 = run_chain(data, anchor, hp, asg)
         c2 = run_chain(data, anchor, hp, asg)
-        for s1, s2 in zip(c1.samples, c2.samples):
-            assert np.array_equal(s1.loadings, s2.loadings)
-            assert np.array_equal(s1.latent_locations, s2.latent_locations)
+        assert np.array_equal(c1.loadings, c2.loadings)
+        assert np.array_equal(c1.latent_locations, c2.latent_locations)
         assert np.array_equal(
             c1.diagnostics.log_posterior_trace, c2.diagnostics.log_posterior_trace
         )
@@ -544,13 +542,12 @@ class TestChain:
         hp = Hyperparameters(iterations=80, burn_in=40, thin=4, seed=3, L=5)
         chain = run_chain(data, anchor, hp, FactorAssignment(np.array([1])))
         assert len(chain) == 10
-        for s in chain.samples:
-            assert np.all(s.latent_locations >= 0) and np.all(s.latent_locations <= 1)
-            assert np.all(s.residual_variances > 0)
-            for g in s.splines:
-                assert np.all(g.slopes >= 0)
-            # anchor variance fixed across the whole chain
-            assert s.residual_variances[0] == anchor.residual_variances[0]
+        u = chain.latent_locations
+        assert np.all(u >= 0) and np.all(u <= 1)
+        assert np.all(chain.residual_variances > 0)
+        assert np.all(chain.spline_coefficients[:, 1:] >= 0)
+        # anchor variance fixed across the whole chain
+        assert np.all(chain.residual_variances[:, 0] == anchor.residual_variances[0])
 
     def test_rejects_missing_anchor_columns(self):
         data, anchor = self.make_problem(seed=2)
@@ -638,6 +635,10 @@ class TestChain:
         with pytest.raises(ValueError):
             chain.loadings[0, 0, 0] = 1.0
         assert chain.samples is chain.samples
-        rebuilt = PosteriorChain.from_states(chain.samples, chain.diagnostics, chain.config,
-                                             chain.anchor)
-        assert np.array_equal(rebuilt.spline_coefficients, chain.spline_coefficients)
+        for m, s in enumerate(chain.samples):
+            for name in ("loadings", "latent_locations", "residual_variances",
+                         "local_scales", "global_scale"):
+                assert np.array_equal(getattr(s, name), getattr(chain, name)[m])
+            for h, g in enumerate(s.splines):
+                assert np.array_equal(g.intercept, chain.spline_coefficients[m, 0, h])
+                assert np.array_equal(g.slopes, chain.spline_coefficients[m, 1:, h])

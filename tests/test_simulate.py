@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nifa.model import FactorAssignment, Hyperparameters, NiftyState, PiecewiseLinearMap
+from nifa.model import FactorAssignment, Hyperparameters, eta
 from nifa.pretrain import AnchorSet
-from nifa.sampler import ChainDiagnostics, PosteriorChain
+from nifa.sampler import CHAIN_ARRAYS, ChainDiagnostics, PosteriorChain
 from nifa.simulate import (
     NOISE_SD,
     gen_hetero_clusters,
@@ -126,27 +128,26 @@ class TestHeteroClusters:
 
 def toy_chain(seed=0, n_states=3):
     rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(n_states):
-        states.append(
-            NiftyState(
-                loadings=rng.standard_normal((4, 2)),
-                splines=tuple(
-                    PiecewiseLinearMap(rng.standard_normal(), rng.uniform(0.1, 1, 5))
-                    for _ in range(2)
-                ),
-                latent_locations=rng.uniform(size=(10, 2)),
-                residual_variances=rng.uniform(0.1, 0.5, 4),
-                local_scales=np.ones((4, 2)),
-                global_scale=1.0,
-                assignment=FactorAssignment.round_robin(2, 2),
-            )
+    draws = [
+        (
+            rng.standard_normal((4, 2)),
+            np.column_stack([
+                np.concatenate([[rng.standard_normal()], rng.uniform(0.1, 1, 5)])
+                for _ in range(2)
+            ]),
+            rng.uniform(size=(10, 2)),
+            rng.uniform(0.1, 0.5, 4),
+            np.ones((4, 2)),
+            1.0,
         )
-    return PosteriorChain.from_states(
-        states,
-        ChainDiagnostics(np.zeros(n_states), 0.5, np.zeros(5)),
-        Hyperparameters(L=5),
-        AnchorSet(rng.uniform(size=(10, 2)), np.array([0.01, 0.01])),
+        for _ in range(n_states)
+    ]
+    return PosteriorChain(
+        **dict(zip(CHAIN_ARRAYS, map(np.stack, zip(*draws)))),
+        assignment=FactorAssignment.round_robin(2, 2),
+        diagnostics=ChainDiagnostics(np.zeros(n_states), 0.5, np.zeros(5)),
+        config=Hyperparameters(L=5),
+        anchor=AnchorSet(rng.uniform(size=(10, 2)), np.array([0.01, 0.01])),
     )
 
 
@@ -166,17 +167,15 @@ class TestPosteriorPredictive:
     def test_empty_chain_rejected(self):
         chain = toy_chain()
         with pytest.raises(ValueError):
-            posterior_predictive_array(PosteriorChain.from_states(
-                (), ChainDiagnostics(np.empty(0), 0.0, np.zeros(5)),
-                chain.config, chain.anchor,
-            ), 5, 0)
+            posterior_predictive_array(replace(
+                chain, diagnostics=ChainDiagnostics(np.empty(0), 0.0, np.zeros(5))), 5, 0)
 
     def test_draws_follow_single_state_model(self):
         # one-state chain: rows are Lambda g(u) + noise with u uniform
         chain = toy_chain(seed=1, n_states=1)
-        st = chain.samples[0]
         big = posterior_predictive_array(chain, 100000, 3)
         grid = np.linspace(0, 1, 20001)
-        eta = np.column_stack([g(grid) for g in st.splines])
-        mean_expected = (eta @ st.loadings.T).mean(axis=0)
+        factors = eta(chain.spline_coefficients[0], np.column_stack([grid, grid]),
+                      chain.assignment)
+        mean_expected = (factors @ chain.loadings[0].T).mean(axis=0)
         assert np.allclose(big.mean(axis=0), mean_expected, atol=0.02)
