@@ -26,8 +26,8 @@ def _load_data(path) -> DataMatrix:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"input file does not exist: {path}")
-    values, names = runio.load_matrix(path)
-    return DataMatrix(values, feature_names=names)
+    values, _ = runio.load_matrix(path)
+    return DataMatrix(values)
 
 
 def _cmd_simulate(args) -> int:
@@ -122,8 +122,12 @@ def _cmd_fit(args) -> int:
                              f"but --h-factors is {h}")
     else:
         assignment = FactorAssignment.round_robin(k if h is None else h, k)
-    pieces = runio.load_json(Path(args.anchor_dir) / "anchor_meta.json").get("pieces")
-    if pieces is not None and pieces != args.L:
+    meta_path = Path(args.anchor_dir) / "anchor_meta.json"
+    pieces = runio.load_json(meta_path).get("pieces")
+    if pieces is None:
+        raise UsageError(f"{meta_path} records no pieces; --anchor-dir takes a directory "
+                         "written by `nifa pretrain`")
+    if pieces != args.L:
         raise UsageError(f"--pieces {args.L} differs from the {pieces} pieces that the "
                          f"anchors in {args.anchor_dir} were fit with")
     hp = _config(Hyperparameters, args)

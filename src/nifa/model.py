@@ -26,7 +26,6 @@ class DataMatrix:
     """N x P observed data; rows are observations, columns are features."""
 
     values: np.ndarray
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -37,8 +36,6 @@ class DataMatrix:
             raise ValueError(f"need at least 2 rows and 1 column, got {n}x{p}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("data contains non-finite entries")
-        if self.feature_names is not None and len(self.feature_names) != p:
-            raise ShapeError("feature_names length does not match column count")
         object.__setattr__(self, "values", vals)
 
     @property

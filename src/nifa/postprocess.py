@@ -30,48 +30,24 @@ class AlignmentReport:
     ties: tuple = ()          # (sample, partition) pairs where matching tied
 
 
-def varimax_rotation(block: np.ndarray, max_iter: int = 200, tol: float = 1e-10) -> np.ndarray:
-    """Orthogonal varimax rotation matrix for a P x m loading block."""
-    p, m = block.shape
-    rot = np.eye(m)
-    if m < 2:
-        return rot
-    var_old = 0.0
-    for _ in range(max_iter):
-        lam = block @ rot
-        grad = block.T @ (lam**3 - lam * (np.sum(lam**2, axis=0) / p))
-        u, s, vt = np.linalg.svd(grad)
-        rot = u @ vt
-        var_new = float(np.sum(s))
-        if var_new <= var_old * (1 + tol):
-            break
-        var_old = var_new
-    return rot
-
-
 def orthogonalize_partition(lambda_block: np.ndarray):
     """Rotate a partition so its columns are mutually orthogonal.
 
-    Varimax first, then the right singular vectors of the rotated block finish
-    the orthogonalization. Returns (rotated block, orthogonal R).
+    With the thin SVD B = U S V^T, the rotated block is B V = U S: orthogonal
+    columns in descending-norm order, each flipped so its largest-|entry| is
+    positive. It is the same for B and any rotation B R of it, unless singular
+    values tie. Takes one P x m block or an M x P x m stack of draws and returns
+    (rotated block, orthogonal V) of the same leading shape.
     """
     block = np.atleast_2d(np.asarray(lambda_block, dtype=float))
-    p, m = block.shape
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv.size < m or sv[-1] <= 1e-12 * max(sv[0], 1.0):
+    u, s, vt = np.linalg.svd(block, full_matrices=False)
+    m = block.shape[-1]
+    if s.shape[-1] < m or np.any(s[..., -1] <= 1e-12 * np.maximum(s[..., 0], 1.0)):
         raise DegenerateLoadingError("partition is rank deficient")
-    r1 = varimax_rotation(block)
-    _, _, vt = np.linalg.svd(block @ r1, full_matrices=False)
-    rot = r1 @ vt.T
-    # deterministic convention: columns come out in descending-norm order
-    # (the SVD guarantees that); flip each so its largest-|entry| is positive
-    out = block @ rot
-    for j in range(m):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            rot[:, j] = -rot[:, j]
-            out[:, j] = -out[:, j]
-    return out, rot
+    out = u * s[..., None, :]
+    peak = np.take_along_axis(out, np.argmax(np.abs(out), axis=-2)[..., None, :], axis=-2)
+    signs = np.where(peak < 0, -1.0, 1.0)
+    return out * signs, np.swapaxes(vt, -1, -2) * signs
 
 
 def _greedy_match(pivot_block: np.ndarray, block: np.ndarray, tol: float = 1e-12):
@@ -109,29 +85,23 @@ def match_align(chain: PosteriorChain):
     """
     pivot_index = int(np.argmax(chain.diagnostics.log_posterior_trace))
     k0 = chain.assignment.zero_based
-    # factor indices grouped by shared latent location
+    # factor indices grouped by shared latent location, each orthogonalized over all draws
     parts = [np.flatnonzero(k0 == k) for k in range(chain.assignment.n_locations)]
-    pivot_blocks = [orthogonalize_partition(chain.loadings[pivot_index][:, idx])[0]
-                    for idx in parts]
+    ortho = [orthogonalize_partition(chain.loadings[:, :, idx]) for idx in parts]
     lam = chain.loadings.copy()
     coef = chain.spline_coefficients.copy()
     permutations, sign_flips, ties = [], [], []
     for m in range(len(chain)):
         perms_m, signs_m = [], []
-        for k, idx in enumerate(parts):
-            _, r_orth = orthogonalize_partition(lam[m][:, idx])
-            block = lam[m][:, idx] @ r_orth
-            perm, signs, tied = _greedy_match(pivot_blocks[k], block)
+        for k, (idx, (blocks, rots)) in enumerate(zip(parts, ortho)):
+            perm, signs, tied = _greedy_match(blocks[pivot_index], blocks[m])
             if tied:
                 ties.append((m, k))
             # aligned column j = signs[j] * block[:, perm[j]]
-            pmat = np.zeros((idx.size, idx.size))
-            pmat[perm, np.arange(idx.size)] = signs
-            rot = r_orth @ pmat
-            lam[m][:, idx] = lam[m][:, idx] @ rot
-            coef[m][:, idx] = coef[m][:, idx] @ rot
-            perms_m.append(perm.copy())
-            signs_m.append(signs.copy())
+            lam[m][:, idx] = blocks[m][:, perm] * signs
+            coef[m][:, idx] = coef[m][:, idx] @ (rots[m][:, perm] * signs)
+            perms_m.append(perm)
+            signs_m.append(signs)
         permutations.append(tuple(perms_m))
         sign_flips.append(tuple(signs_m))
 

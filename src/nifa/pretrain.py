@@ -53,8 +53,10 @@ class AnchorSet:
         var = np.asarray(self.residual_variances, dtype=float).ravel()
         if coords.shape[1] != var.size or coords.shape[1] < 1:
             raise ShapeError("one residual variance per anchor column required")
-        if np.any(var <= 0):
-            raise ValueError("anchor residual variances must be positive")
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("anchor coordinates must be finite")
+        if not np.all(np.isfinite(var) & (var > 0)):
+            raise ValueError("anchor residual variances must be finite and positive")
         if self.source not in ("diffusion_map", "external"):
             raise ValueError("source must be 'diffusion_map' or 'external'")
         object.__setattr__(self, "coordinates", coords)

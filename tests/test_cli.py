@@ -121,6 +121,18 @@ class TestPretrain:
         assert "80" in err and "120" in err
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_anchors_are_usage_error(self, tmp_path, capsys, bad):
+        rng = np.random.default_rng(0)
+        ext = rng.uniform(size=(40, 2))
+        ext[3, 0] = float(bad)
+        save_matrix(tmp_path / "d.csv", rng.standard_normal((40, 3)))
+        save_matrix(tmp_path / "ext.csv", ext)
+        assert run("pretrain", "--input", tmp_path / "d.csv", "--anchors",
+                   tmp_path / "ext.csv", "--out-dir", tmp_path / "a", "--pieces", "6") == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
 
 class TestFit:
     def test_run_directory_complete(self, workspace):
@@ -158,6 +170,14 @@ class TestFit:
                    "--pieces", "20") == 2
         err = capsys.readouterr().err
         assert "--pieces 20" in err and "8 pieces" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_anchor_dir_must_record_pieces(self, workspace, tmp_path, capsys):
+        # a run's own anchor copy records no pieces, so no agreement can be checked
+        assert run("fit", "--input", workspace / "data.csv",
+                   "--anchor-dir", workspace / "run" / "anchor", "--out", tmp_path / "x",
+                   "--pieces", "8") == 2
+        assert "pieces" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_bad_assignment_is_usage_error(self, workspace, tmp_path):

@@ -56,10 +56,6 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             DataMatrix(np.ones((1, 3)))
 
-    def test_feature_names_length_checked(self):
-        with pytest.raises(ShapeError):
-            DataMatrix(np.ones((3, 2)), feature_names=["a"])
-
 
 class TestFactorAssignment:
     def test_round_robin_surjective(self):

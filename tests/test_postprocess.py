@@ -12,7 +12,6 @@ from nifa.postprocess import (
     orthogonalize_partition,
     postprocess_chain,
     summarize,
-    varimax_rotation,
 )
 from nifa.pretrain import AnchorSet
 from nifa.sampler import CHAIN_ARRAYS, ChainDiagnostics, PosteriorChain
@@ -76,16 +75,6 @@ def make_chain(n_samples=6, seed=0):
                           config=Hyperparameters(L=5), anchor=anchor)
 
 
-class TestVarimax:
-    def test_returns_orthogonal(self):
-        rng = np.random.default_rng(1)
-        rot = varimax_rotation(rng.standard_normal((10, 3)))
-        assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-10)
-
-    def test_single_column_identity(self):
-        assert np.array_equal(varimax_rotation(np.ones((5, 1))), np.eye(1))
-
-
 class TestOrthogonalize:
     def test_output_columns_orthogonal(self):
         rng = np.random.default_rng(2)
@@ -118,6 +107,43 @@ class TestOrthogonalize:
         col = np.arange(6.0)
         with pytest.raises(DegenerateLoadingError):
             orthogonalize_partition(np.column_stack([col, 2 * col]))
+
+
+class TestSvdRepresentative:
+    def test_matches_thin_svd(self):
+        rng = np.random.default_rng(20)
+        block = rng.standard_normal((8, 3))
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        expected = u * s
+        for j in range(3):
+            if expected[np.argmax(np.abs(expected[:, j])), j] < 0:
+                expected[:, j] = -expected[:, j]
+        out, _ = orthogonalize_partition(block)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_invariant_under_rotation(self, m):
+        rng = np.random.default_rng(21 + m)
+        block = rng.standard_normal((9, m))
+        rot, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        out, _ = orthogonalize_partition(block)
+        out_rotated, _ = orthogonalize_partition(block @ rot)
+        assert np.allclose(out_rotated, out, rtol=0.0, atol=1e-10)
+
+    def test_stack_matches_single_draws(self):
+        rng = np.random.default_rng(25)
+        stack = rng.standard_normal((5, 8, 3))
+        out, rot = orthogonalize_partition(stack)
+        for m in range(len(stack)):
+            out_m, rot_m = orthogonalize_partition(stack[m])
+            assert np.array_equal(out[m], out_m) and np.array_equal(rot[m], rot_m)
+
+    def test_rank_deficient_draw_in_stack_raises(self):
+        rng = np.random.default_rng(26)
+        stack = rng.standard_normal((4, 6, 2))
+        stack[2, :, 1] = 2 * stack[2, :, 0]
+        with pytest.raises(DegenerateLoadingError):
+            orthogonalize_partition(stack)
 
 
 class TestGreedyMatch:

@@ -305,6 +305,11 @@ class TestPipeline:
             AnchorSet(np.ones((5, 1)), np.array([-1.0]))
         with pytest.raises(ValueError):
             AnchorSet(np.ones((5, 1)), np.array([1.0]), source="other")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="coordinates"):
+                AnchorSet(np.array([[1.0], [bad], [0.0]]), np.array([1.0]))
+            with pytest.raises(ValueError, match="variances"):
+                AnchorSet(np.ones((5, 1)), np.array([bad]))
 
     def test_swiss_roll_recovers_generator(self):
         # the roll is a long thin strip; the kernel bandwidth must stay below
