@@ -26,7 +26,7 @@ def _load_data(path) -> DataMatrix:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"input file does not exist: {path}")
-    values, _ = runio.load_matrix(path)
+    values = runio.load_matrix(path)
     return DataMatrix(values)
 
 
@@ -58,7 +58,7 @@ def _cmd_pretrain(args) -> int:
     data = _load_data(args.input)
     out_dir = Path(args.out_dir)
     if args.anchors:
-        coords, _ = runio.load_matrix(args.anchors)
+        coords = runio.load_matrix(args.anchors)
         if coords.shape[0] != data.n_rows:
             raise UsageError(f"--anchors has {coords.shape[0]} rows but --input has "
                              f"{data.n_rows}")
@@ -107,6 +107,9 @@ def _cmd_fit(args) -> int:
         raise UsageError(f"--chains must be at least 1, got {args.chains}")
     data = _load_data(args.input)
     anchor = runio.load_anchor_set(args.anchor_dir)
+    if anchor.coordinates.shape[0] != data.n_rows:
+        raise UsageError(f"--input has {data.n_rows} rows but the anchors in --anchor-dir "
+                         f"{args.anchor_dir} have {anchor.coordinates.shape[0]}")
     k, h = anchor.n_anchors, args.h_factors
     if h is not None and h < k:
         raise UsageError(f"--h-factors must be at least K={k}, the anchor count, got {h}")
@@ -208,8 +211,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    a, _ = runio.load_matrix(args.file_a)
-    b, _ = runio.load_matrix(args.file_b)
+    a = runio.load_matrix(args.file_a)
+    b = runio.load_matrix(args.file_b)
     if a.shape[1] != b.shape[1]:
         raise UsageError("inputs have mismatched column counts")
     mean, se, _ = metrics.sliced_wasserstein_details(
@@ -218,7 +221,7 @@ def _cmd_evaluate(args) -> int:
     print(f"sliced Wasserstein distance: {mean:.6g}")
     print(f"per-projection standard error: {se:.3g}")
     if args.reference:
-        c, _ = runio.load_matrix(args.reference)
+        c = runio.load_matrix(args.reference)
         if c.shape[1] != a.shape[1]:
             raise UsageError("reference file has mismatched column count")
         floor, floor_se, _ = metrics.sliced_wasserstein_details(

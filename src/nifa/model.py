@@ -94,12 +94,18 @@ def spline_basis(u, n_pieces: int) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     knots = np.arange(n_pieces) / n_pieces
-    return np.clip(u[..., None] - knots, 0.0, 1.0 / n_pieces)
+    out = u[..., None] - knots
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, 1.0 / n_pieces, out=out)
 
 
 def spline_design(u, n_pieces: int) -> np.ndarray:
     """Intercept-plus-clamp design [1, spline_basis(u, L)]; returns shape (..., L+1)."""
-    return np.insert(spline_basis(u, n_pieces), 0, 1.0, axis=-1)
+    u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape + (n_pieces + 1,))
+    out[..., 0] = 1.0
+    out[..., 1:] = spline_basis(u, n_pieces)
+    return out
 
 
 def rank_transform(x) -> np.ndarray:
@@ -225,10 +231,11 @@ def eta(coefficients: np.ndarray, u: np.ndarray, assignment: FactorAssignment) -
     intercepts; the locations ``u`` (N x K) must lie in [0,1].
     """
     n_pieces = coefficients.shape[0] - 1
+    bases = [spline_basis(u_col, n_pieces) for u_col in u.T]  # shared by a column's factors
     k0 = assignment.zero_based
     out = np.empty((u.shape[0], k0.size))
     for h, k in enumerate(k0):
-        out[:, h] = coefficients[0, h] + spline_basis(u[:, k], n_pieces) @ coefficients[1:, h]
+        out[:, h] = coefficients[0, h] + bases[k] @ coefficients[1:, h]
     return out
 
 

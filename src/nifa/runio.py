@@ -4,6 +4,7 @@ uncompressed ``chain.npz`` of stacked draws."""
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 from dataclasses import asdict, fields
@@ -27,16 +28,15 @@ def save_matrix(path, arr: np.ndarray, names: list[str] | None = None) -> None:
     np.savetxt(path, arr, delimiter=",", header=header, comments="")
 
 
-def load_matrix(path):
-    """Returns (array, column names) from a headered CSV matrix."""
-    path = Path(path)
+def load_matrix(path) -> np.ndarray:
+    """Reads a CSV matrix with one header row; a file with no data rows gives
+    a 0 x (header columns) array."""
     with open(path) as fh:
-        names = fh.readline().strip().split(",")
+        header = fh.readline()
         body = fh.read()
     if not body.strip():
-        return np.empty((0, len(names))), names
-    arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return arr, names
+        return np.empty((0, header.count(",") + 1))
+    return np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
 
 
 def save_json(path, record: dict) -> None:
@@ -84,7 +84,7 @@ def load_anchor_set(anchor_dir) -> AnchorSet:
     meta_path = anchor_dir / "anchor_meta.json"
     if not coords_path.exists() or not meta_path.exists():
         raise IncompleteRunError(f"missing anchor artifacts in {anchor_dir}")
-    coords, _ = load_matrix(coords_path)
+    coords = load_matrix(coords_path)
     meta = load_json(meta_path)
     _require_keys(meta, ("residual_variances", "source"), meta_path)
     return AnchorSet(coords, np.asarray(meta["residual_variances"]), meta["source"])
@@ -140,7 +140,7 @@ def load_chain(run_dir) -> PosteriorChain:
     if any(a.shape[:1] != (manifest["n_samples"],) for a in arrays.values()):
         raise IncompleteRunError(f"chain.npz in {run_dir} does not hold the manifest's "
                                  f"{manifest['n_samples']} samples")
-    trace, _ = load_matrix(run_dir / "log_posterior.csv")
+    trace = load_matrix(run_dir / "log_posterior.csv")
     diagnostics = ChainDiagnostics(
         log_posterior_trace=trace.ravel(),
         mala_acceptance_rate=manifest["mala_acceptance_rate"],

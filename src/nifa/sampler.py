@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -104,20 +104,27 @@ class PosteriorChain:
         return self.global_scale.shape[0]
 
 
-def uniform_penalty(u_col: np.ndarray) -> float:
-    """Squared order-statistic distance to the uniform grid i/N."""
+def _outside_unit_interval(u: np.ndarray) -> bool:
+    """Whether an entry of the non-empty array u lies outside [0,1]. As with
+    np.any(u < 0), a NaN entry does not count as outside."""
+    return bool(u.min() < 0 or u.max() > 1)
+
+
+def uniform_penalty(u_col: np.ndarray):
+    """Squared order-statistic distance to the uniform grid i/N, and its
+    gradient 2 (u_i - rank_i / N), both from one stable sort.
+
+    Returns (value, gradient).
+    """
     u = np.asarray(u_col, dtype=float).ravel()
-    if np.any(u < 0) or np.any(u > 1):
+    if _outside_unit_interval(u):
         raise DomainError("latent locations must lie in [0,1]")
     n = u.size
-    grid = np.arange(1, n + 1) / n
-    return float(np.sum((np.sort(u, kind="stable") - grid) ** 2))
-
-
-def uniform_penalty_gradient(u_col: np.ndarray) -> np.ndarray:
-    """Gradient of uniform_penalty: 2 (u_i - rank_i / N), stable-sort ranks."""
-    u = np.asarray(u_col, dtype=float).ravel()
-    return 2.0 * (u - rank_transform(u))
+    order = u.argsort(kind="stable")
+    gap = u[order] - np.arange(1, n + 1) / n
+    grad = np.empty(n)
+    grad[order] = 2.0 * gap
+    return float((gap**2).sum()), grad
 
 
 def loadings_posterior(
@@ -220,13 +227,14 @@ def spline_posterior(
 
 def _truncated_standard_normal(rng: np.random.Generator, lower: float, ndtr, ndtri) -> float:
     """Standard normal conditioned on being >= lower; ndtr and ndtri are the
-    normal CDF and its inverse from scipy.special."""
+    normal CDF and its inverse from scipy.special. Takes one ``rng.random()``
+    by inversion, or one ``rng.standard_exponential()`` in the far tail."""
     if lower < 6.0:
-        a = ndtr(lower)
-        p = a + rng.uniform() * (1.0 - a)
+        a = float(ndtr(lower))
+        p = a + rng.random() * (1.0 - a)
         return float(ndtri(min(p, 1.0 - 1e-16)))
     # far tail: exponential approximation is numerically exact here
-    return lower + rng.exponential() / lower
+    return lower + rng.standard_exponential() / lower
 
 
 def sample_spline_coefficients(
@@ -243,27 +251,38 @@ def sample_spline_coefficients(
 
     Uses SPLINE_GIBBS_SWEEPS coordinate-wise Gibbs sweeps over the exact
     Gaussian conditional, started at the current coefficients.
+
+    Seeded runs reproduce because the draw order is fixed: each sweep visits
+    the coordinates in order, factor by factor with the intercept first. An
+    intercept takes one ``rng.standard_normal()``. A truncated slope takes one
+    ``rng.random()`` for an inverse-CDF draw, or one
+    ``rng.standard_exponential()`` when zero lies 6 or more conditional
+    standard deviations above its mean. Around this block, a run_chain sweep
+    evaluates the factors g(u) once, in the latent-location update.
     """
     from scipy.special import ndtr, ndtri
 
     prec, lin = spline_posterior(loadings, residual_variances, latent_locations, assignment,
                                  data, hp)
     width, h = coefficients.shape
+    diag = prec.diagonal()
+    if np.any(diag <= 0):
+        raise np.linalg.LinAlgError("singular spline posterior precision")
     beta = coefficients.T.flatten()  # factor blocks [intercept, slopes], in factor order
-    is_slope = (np.arange(beta.size) % width) != 0
+    # The loop does scalar arithmetic on Python floats (``current`` mirrors
+    # beta) plus one BLAS dot with the precision row: the same IEEE operations,
+    # and so the same draws, as on numpy scalars, with less call overhead.
+    current = beta.tolist()
+    terms = list(zip(range(beta.size), prec, diag.tolist(), (1.0 / np.sqrt(diag)).tolist(),
+                     lin.tolist()))
     for _ in range(SPLINE_GIBBS_SWEEPS):
-        for c in range(beta.size):
-            pcc = prec[c, c]
-            if pcc <= 0:
-                raise np.linalg.LinAlgError("singular spline posterior precision")
-            resid = lin[c] - prec[c] @ beta + pcc * beta[c]
-            mean = resid / pcc
-            sd = 1.0 / np.sqrt(pcc)
-            if is_slope[c]:
-                z = _truncated_standard_normal(rng, -mean / sd, ndtr, ndtri)
-                beta[c] = mean + sd * z
+        for c, row, pcc, sd, lin_c in terms:
+            mean = (lin_c - float(row.dot(beta)) + pcc * current[c]) / pcc
+            if c % width:
+                b = mean + sd * _truncated_standard_normal(rng, -mean / sd, ndtr, ndtri)
             else:
-                beta[c] = mean + sd * rng.standard_normal()
+                b = mean + sd * rng.standard_normal()
+            beta[c] = current[c] = b
     out = beta.reshape(h, width).T.copy()
     out[1:] = np.maximum(out[1:], 0.0)
     return out
@@ -282,10 +301,18 @@ def u_log_target(
 
     Returns (-inf, zeros) when any coordinate leaves [0,1].
     """
-    if np.any(u < 0) or np.any(u > 1):
-        return -np.inf, np.zeros_like(u)
+    return _u_log_target(u, coefficients, loadings, residual_variances, assignment, data,
+                         nu)[:2]
+
+
+def _u_log_target(u, coefficients, loadings, residual_variances, assignment, data, nu):
+    """u_log_target's (value, gradient) plus the factors eta(coefficients, u),
+    which are None when u leaves [0,1]."""
+    if _outside_unit_interval(u):
+        return -np.inf, np.zeros_like(u), None
     k0 = assignment.zero_based
-    resid = data.values - eta(coefficients, u, assignment) @ loadings.T
+    factors = eta(coefficients, u, assignment)
+    resid = data.values - factors @ loadings.T
     inv_sig = 1.0 / residual_variances
     value = -0.5 * float(np.sum(resid**2 * inv_sig))
     weighted = resid * inv_sig  # N x P
@@ -295,10 +322,11 @@ def u_log_target(
         pull = weighted @ loadings[:, h]
         grad[:, k] += pull * coefficients[slope_rows[:, k], h]
     if nu > 0:
-        for kk in range(u.shape[1]):
-            value -= nu * uniform_penalty(u[:, kk])
-            grad[:, kk] -= nu * uniform_penalty_gradient(u[:, kk])
-    return value, grad
+        for kk, u_col in enumerate(u.T):
+            penalty, penalty_grad = uniform_penalty(u_col)
+            value -= nu * penalty
+            grad[:, kk] -= nu * penalty_grad
+    return value, grad, factors
 
 
 def mala_step(u: np.ndarray, log_target, epsilon: float, rng: np.random.Generator):
@@ -312,13 +340,13 @@ def mala_step(u: np.ndarray, log_target, epsilon: float, rng: np.random.Generato
     v0, g0 = log_target(u)
     noise = rng.standard_normal(u.shape)
     prop = u + epsilon * g0 + np.sqrt(2.0 * epsilon) * noise
-    if np.any(prop < 0) or np.any(prop > 1):
+    if _outside_unit_interval(prop):
         return u, False
     v1, g1 = log_target(prop)
     fwd = np.sum((prop - u - epsilon * g0) ** 2)
     bwd = np.sum((u - prop - epsilon * g1) ** 2)
     log_alpha = v1 - v0 + (fwd - bwd) / (4.0 * epsilon)
-    if np.log(rng.uniform()) < log_alpha:
+    if np.log(rng.random()) < log_alpha:
         return prop, True
     return u, False
 
@@ -366,9 +394,15 @@ def log_joint(
     data: DataMatrix,
     hp: Hyperparameters,
     n_anchor: int = 0,
+    factors: np.ndarray | None = None,
 ) -> float:
-    """Joint log posterior density up to an additive constant."""
-    factors = eta(spline_coefficients, latent_locations, assignment)
+    """Joint log posterior density up to an additive constant.
+
+    ``factors`` may pass eta(spline_coefficients, latent_locations, assignment)
+    when the caller already holds it.
+    """
+    if factors is None:
+        factors = eta(spline_coefficients, latent_locations, assignment)
     value = log_likelihood(factors @ loadings.T, residual_variances, data)
     lam2 = loadings**2
     prior_var = global_scale * local_scales
@@ -378,7 +412,7 @@ def log_joint(
     for c in spline_coefficients.T:
         value -= 0.5 * (float(c[0]) ** 2 + float(np.sum(c[1:] ** 2))) / hp.sigma_a_sq
     for u_col in latent_locations.T:
-        value -= hp.nu * uniform_penalty(u_col)
+        value -= hp.nu * uniform_penalty(u_col)[0]
     # shrinkage scales: half-Cauchy on the square roots, so the density of
     # the variance multipliers is proportional to s^(-1/2) / (1 + s)
     for s in (local_scales, np.array(global_scale)):
@@ -420,11 +454,12 @@ def _require_valid(t: int, **arrays) -> None:
     variance or scale is not positive, or a latent location leaves [0,1]."""
     for name, arr in arrays.items():
         label = name.replace("_", " ")
-        if not np.all(np.isfinite(arr)):
+        arr = np.asarray(arr)
+        if not np.isfinite(arr).all():
             raise RuntimeError(f"non-finite {label} at sweep {t}")
-        if name in _POSITIVE and np.any(arr <= 0):
+        if name in _POSITIVE and (arr <= 0).any():
             raise RuntimeError(f"non-positive {label} at sweep {t}")
-        if name == "latent_locations" and (np.any(arr < 0) or np.any(arr > 1)):
+        if name == "latent_locations" and _outside_unit_interval(arr):
             raise RuntimeError(f"{label} outside [0,1] at sweep {t}")
 
 
@@ -461,9 +496,10 @@ def run_chain(
     accept_count = 0
     post_burn_steps = 0
 
+    # g(u) is evaluated once per sweep: the MALA target computes the factors at
+    # each point it visits, and those of the point kept serve the next sweep
+    factors = eta(coef, u, assignment)
     for t in range(hp.iterations):
-        factors = eta(coef, u, assignment)
-
         t0 = time.perf_counter()
         lam = sample_loadings(factors, sigma2, tau * gamma, data, rng)
         _require_valid(t, loadings=lam)
@@ -481,10 +517,15 @@ def run_chain(
         t3 = time.perf_counter()
 
         epsilon = float(np.exp(log_eps))
-        target = partial(u_log_target, coefficients=coef, loadings=lam,
-                         residual_variances=sigma2, assignment=assignment, data=data,
-                         nu=hp.nu)
+        evaluated = []  # (point, factors at that point)
+
+        def target(x):
+            value, grad, at_x = _u_log_target(x, coef, lam, sigma2, assignment, data, hp.nu)
+            evaluated.append((x, at_x))
+            return value, grad
+
         u, accepted = mala_step(u, target, epsilon, rng)
+        factors = next(at_x for x, at_x in evaluated if x is u)
         _require_valid(t, latent_locations=u)
         if t < hp.burn_in:
             log_eps += 0.05 * ((1.0 if accepted else 0.0) - MALA_TARGET_ACCEPTANCE)
@@ -502,7 +543,8 @@ def run_chain(
         if t >= hp.burn_in and (t - hp.burn_in) % hp.thin == 0:
             m = (t - hp.burn_in) // hp.thin
             state = dict(zip(CHAIN_ARRAYS, (lam, coef, u, sigma2, gamma, tau)))
-            trace[m] = log_joint(**state, assignment=assignment, data=data, hp=hp, n_anchor=k)
+            trace[m] = log_joint(**state, assignment=assignment, data=data, hp=hp, n_anchor=k,
+                                 factors=factors)
             _require_valid(t, log_posterior=trace[m])
             for name, arr in state.items():
                 draws[name][m] = arr

@@ -47,7 +47,7 @@ class TestSimulate:
         out = tmp_path / "d.csv"
         assert run("simulate", "--setting", "3", "--n", "40", "--seed", "2",
                    "--out", out) == 0
-        arr, _ = load_matrix(out)
+        arr = load_matrix(out)
         assert arr.shape == (40, 10)
 
     def test_truth_out(self, tmp_path):
@@ -178,6 +178,22 @@ class TestFit:
                    "--anchor-dir", workspace / "run" / "anchor", "--out", tmp_path / "x",
                    "--pieces", "8") == 2
         assert "pieces" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_anchor_rows_must_match_input(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        save_matrix(tmp_path / "train.csv", rng.standard_normal((400, 3)))
+        save_matrix(tmp_path / "ext.csv", rng.uniform(size=(400, 2)))
+        save_matrix(tmp_path / "heldout.csv", rng.standard_normal((2000, 3)))
+        assert run("pretrain", "--input", tmp_path / "train.csv", "--anchors",
+                   tmp_path / "ext.csv", "--out-dir", tmp_path / "anchors",
+                   "--pieces", "8") == 0
+        capsys.readouterr()
+        assert run("fit", "--input", tmp_path / "heldout.csv",
+                   "--anchor-dir", tmp_path / "anchors", "--out", tmp_path / "x",
+                   "--pieces", "8") == 2
+        err = capsys.readouterr().err
+        assert "--input has 2000 rows" in err and "--anchor-dir" in err and "have 400" in err
         assert not (tmp_path / "x").exists()
 
     def test_bad_assignment_is_usage_error(self, workspace, tmp_path):
@@ -326,7 +342,7 @@ class TestParallelChains:
         from nifa.sampler import run_chain
 
         anchor = load_anchor_set(workspace / "anchors")
-        data, _ = load_matrix(workspace / "data.csv")
+        data = load_matrix(workspace / "data.csv")
         augmented = DataMatrix(np.hstack([anchor.coordinates, data]))
         assignment = FactorAssignment.round_robin(anchor.n_anchors, anchor.n_anchors)
         for c in range(3):
@@ -395,7 +411,7 @@ class TestPostprocess:
         assert s.read_text() == first
 
     def test_unit_norm_columns(self, workspace):
-        arr, _ = load_matrix(workspace / "run" / "summaries" / "loadings_mean.csv")
+        arr = load_matrix(workspace / "run" / "summaries" / "loadings_mean.csv")
         aligned = load_chain(workspace / "run" / "aligned")
         assert np.allclose(np.linalg.norm(aligned.loadings, axis=1), 1.0, atol=1e-10)
 
@@ -410,7 +426,7 @@ class TestGenerate:
                    "--out", a) == 0
         assert run("generate", workspace / "run", "--n", "15", "--seed", "9",
                    "--out", b) == 0
-        arr, _ = load_matrix(a)
+        arr = load_matrix(a)
         chain = load_chain(workspace / "run")
         assert arr.shape == (15, chain.loadings.shape[1])
         assert a.read_text() == b.read_text()
@@ -419,15 +435,15 @@ class TestGenerate:
         out = tmp_path / "z.csv"
         assert run("generate", workspace / "run", "--n", "0", "--seed", "0",
                    "--out", out) == 0
-        arr, _ = load_matrix(out)
+        arr = load_matrix(out)
         assert arr.shape[0] == 0
 
     def test_drop_anchors(self, workspace, tmp_path):
         out = tmp_path / "na.csv"
         assert run("generate", workspace / "run", "--n", "5", "--seed", "0",
                    "--out", out, "--drop-anchors") == 0
-        arr, _ = load_matrix(out)
-        data, _ = load_matrix(workspace / "data.csv")
+        arr = load_matrix(out)
+        data = load_matrix(workspace / "data.csv")
         assert arr.shape[1] == data.shape[1]
 
 
@@ -561,7 +577,7 @@ class TestPretrainPass:
                    "--pieces", "8") == 0
         assert calls == {"diffusion_spectrum": 1, "mean_local_eigenvalues": 1}
         monkeypatch.undo()
-        data, _ = load_matrix(workspace / "data.csv")
+        data = load_matrix(workspace / "data.csv")
         from nifa.model import DataMatrix
 
         expected = pretrain.run_pretraining(DataMatrix(data), pretrain.DiffusionConfig(), 8)

@@ -98,6 +98,14 @@ class TestSplineBasis:
         expected = np.column_stack([np.ones(3), spline_basis(u, 4)])
         assert np.array_equal(spline_design(u, 4), expected)
 
+    @pytest.mark.parametrize("u", [0.37, np.linspace(0, 1, 41),
+                                   np.random.default_rng(3).uniform(size=(6, 2))])
+    def test_equal_to_clip_and_insert_reference(self, u):
+        u = np.asarray(u)
+        clip = np.clip(u[..., None] - np.arange(7) / 7, 0.0, 1.0 / 7)
+        assert np.array_equal(spline_basis(u, 7), clip)
+        assert np.array_equal(spline_design(u, 7), np.insert(clip, 0, 1.0, axis=-1))
+
 
 def test_rank_transform_breaks_ties_by_position():
     assert np.array_equal(rank_transform([0.3, 0.1, 0.3, 0.2]), [0.75, 0.25, 1.0, 0.5])
@@ -152,6 +160,16 @@ class TestState:
         splines = make_record(st).splines
         for i, u in enumerate(st["latent_locations"]):
             assert np.allclose(factors[i], [g(u[k0[h]]) for h, g in enumerate(splines)])
+
+    def test_factor_matrix_equals_per_factor_reference(self):
+        # one basis per factor, as built before the bases were shared per column
+        rng = np.random.default_rng(4)
+        asg = FactorAssignment(np.array([1, 2, 1, 2, 2]))
+        coef = rng.standard_normal((9, 5))
+        u = rng.uniform(size=(30, 2))
+        reference = np.column_stack([coef[0, h] + spline_basis(u[:, k], 8) @ coef[1:, h]
+                                     for h, k in enumerate(asg.zero_based)])
+        assert np.array_equal(eta(coef, u, asg), reference)
 
     def test_rejects_out_of_range_locations(self):
         st = make_state()

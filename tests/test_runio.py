@@ -31,22 +31,18 @@ class TestMatrixIO:
         arr = rng.standard_normal((7, 3))
         path = tmp_path / "m.csv"
         save_matrix(path, arr, ["a", "b", "c"])
-        back, names = load_matrix(path)
-        assert names == ["a", "b", "c"]
+        back = load_matrix(path)
         assert np.allclose(back, arr, atol=1e-12)
 
     def test_empty_matrix(self, tmp_path):
         path = tmp_path / "e.csv"
         save_matrix(path, np.empty((0, 2)))
-        back, names = load_matrix(path)
-        assert back.shape == (0, 2)
-        assert len(names) == 2
+        assert load_matrix(path).shape == (0, 2)
 
     def test_vector_saved_as_row(self, tmp_path):
         path = tmp_path / "v.csv"
         save_matrix(path, np.arange(4.0))
-        back, _ = load_matrix(path)
-        assert back.shape == (1, 4)
+        assert load_matrix(path).shape == (1, 4)
 
 
 class TestAnchorIO:

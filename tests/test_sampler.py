@@ -17,8 +17,10 @@ from nifa.model import (
     spline_basis,
 )
 from nifa.pretrain import AnchorSet
+import nifa.sampler
 from nifa.sampler import (
     CHAIN_ARRAYS,
+    SPLINE_GIBBS_SWEEPS,
     _truncated_standard_normal,
     initial_state,
     loadings_posterior,
@@ -33,8 +35,54 @@ from nifa.sampler import (
     spline_posterior,
     u_log_target,
     uniform_penalty,
-    uniform_penalty_gradient,
 )
+
+
+def reference_uniform_penalty(u_col):
+    """The penalty as computed apart from its gradient, with its own sort."""
+    u = np.asarray(u_col, dtype=float).ravel()
+    grid = np.arange(1, u.size + 1) / u.size
+    return float(np.sum((np.sort(u, kind="stable") - grid) ** 2))
+
+
+def reference_uniform_penalty_gradient(u_col):
+    """The penalty gradient 2 (u_i - rank_i / N) from a second, ranking sort."""
+    u = np.asarray(u_col, dtype=float).ravel()
+    ranks = np.empty(u.size)
+    ranks[np.argsort(u, kind="stable")] = np.arange(1, u.size + 1)
+    return 2.0 * (u - ranks / u.size)
+
+
+def reference_spline_draw(coefficients, prec, lin, rng):
+    """The coordinate Gibbs draw written on numpy scalars with rng.uniform and
+    rng.exponential: the loop that sample_spline_coefficients must reproduce
+    draw for draw. Returns the draw and the standardized lower bound of every
+    slope draw."""
+    width, h = coefficients.shape
+    beta = coefficients.T.flatten()
+    is_slope = (np.arange(beta.size) % width) != 0
+    lowers = []
+    for _ in range(SPLINE_GIBBS_SWEEPS):
+        for c in range(beta.size):
+            pcc = prec[c, c]
+            resid = lin[c] - prec[c] @ beta + pcc * beta[c]
+            mean = resid / pcc
+            sd = 1.0 / np.sqrt(pcc)
+            if is_slope[c]:
+                lower = -mean / sd
+                lowers.append(lower)
+                if lower < 6.0:
+                    a = ndtr(lower)
+                    p = a + rng.uniform() * (1.0 - a)
+                    z = float(ndtri(min(p, 1.0 - 1e-16)))
+                else:
+                    z = lower + rng.exponential() / lower
+                beta[c] = mean + sd * z
+            else:
+                beta[c] = mean + sd * rng.standard_normal()
+    out = beta.reshape(h, width).T.copy()
+    out[1:] = np.maximum(out[1:], 0.0)
+    return out, lowers
 
 
 def make_state(loadings, coefficients, latent_locations, residual_variances,
@@ -110,35 +158,72 @@ def state_data_pair(seed=0, **kw):
 class TestUniformPenalty:
     def test_exact_grid_is_zero(self):
         u = np.array([0.75, 0.25, 1.0, 0.5])
-        assert uniform_penalty(u) == pytest.approx(0.0, abs=1e-15)
+        assert uniform_penalty(u)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_case(self):
-        assert uniform_penalty(np.array([0.2, 0.9])) == pytest.approx(0.10)
+        assert uniform_penalty(np.array([0.2, 0.9]))[0] == pytest.approx(0.10)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         u = rng.uniform(size=30)
-        assert uniform_penalty(u) == pytest.approx(uniform_penalty(rng.permutation(u)))
+        assert uniform_penalty(u)[0] == pytest.approx(uniform_penalty(rng.permutation(u))[0])
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
             uniform_penalty(np.array([0.5, 1.1]))
 
     def test_gradient_hand_case(self):
-        g = uniform_penalty_gradient(np.array([0.2, 0.9]))
+        _, g = uniform_penalty(np.array([0.2, 0.9]))
         assert g == pytest.approx([-0.6, -0.2])
 
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(2)
         u = rng.uniform(0.1, 0.9, 15)
-        grad = uniform_penalty_gradient(u)
+        _, grad = uniform_penalty(u)
         eps = 1e-7
         for i in range(15):
             up, dn = u.copy(), u.copy()
             up[i] += eps
             dn[i] -= eps
-            fd = (uniform_penalty(up) - uniform_penalty(dn)) / (2 * eps)
+            fd = (uniform_penalty(up)[0] - uniform_penalty(dn)[0]) / (2 * eps)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+class TestSameDraws:
+    """The rewritten hot loop against the test-local references above: equal
+    arrays, and generators left in equal states."""
+
+    @pytest.mark.parametrize("u", [
+        np.random.default_rng(40).uniform(size=400),
+        np.round(np.random.default_rng(41).uniform(size=60), 1),  # ties, 0 and 1
+        np.random.default_rng(42).uniform(size=(50, 3))[:, 1],    # strided column
+    ])
+    def test_uniform_penalty_equals_reference_pair(self, u):
+        value, grad = uniform_penalty(u)
+        assert value == reference_uniform_penalty(u)
+        assert np.array_equal(grad, reference_uniform_penalty_gradient(u))
+
+    @pytest.mark.parametrize("seed, n, sign, far_tail", [(31, 60, 1.0, False),
+                                                         (3, 200, -1.0, True)])
+    def test_spline_draw_equals_reference(self, seed, n, sign, far_tail):
+        # sign -1 makes the data decrease in u, which pushes the slopes' conditional
+        # means many standard deviations below the truncation point at zero
+        st = small_state(n=n, p=6, seed=seed)
+        noise = np.random.default_rng(seed + 100).standard_normal((n, 6))
+        data = DataMatrix(sign * model_mean(st) + 0.1 * noise)
+        hp = Hyperparameters(L=4)
+        prec, lin = spline_posterior(*spline_args(st), data, hp)
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        coef, lowers = st["spline_coefficients"], []
+        for _ in range(5):
+            expected, seen = reference_spline_draw(coef, prec, lin, rng_ref)
+            coef = sample_spline_coefficients(coef, *spline_args(st), data, hp, rng)
+            assert np.array_equal(coef, expected)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            lowers += seen
+        # every draw also takes intercepts; the slopes reach the branches named
+        assert min(lowers) < 6.0
+        assert (max(lowers) >= 6.0) == far_tail
 
 
 class TestLoadingsBlock:
@@ -591,11 +676,38 @@ class TestChain:
         for c in st["spline_coefficients"].T:
             expected -= 0.5 * (c[0]**2 + np.sum(c[1:]**2)) / 1.5
         for k in range(st["latent_locations"].shape[1]):
-            expected -= 10.0 * uniform_penalty(st["latent_locations"][:, k])
+            expected -= 10.0 * reference_uniform_penalty(st["latent_locations"][:, k])
         gam, tau = st["local_scales"], st["global_scale"]
         expected -= np.sum(0.5 * np.log(gam) + np.log1p(gam))
         expected -= 0.5 * np.log(tau) + np.log1p(tau)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_carried_factors_equal_eta_at_every_draw(self, monkeypatch):
+        data, anchor = self.make_problem(seed=8)
+        hp = Hyperparameters(iterations=60, burn_in=20, thin=1, seed=4, L=5)
+        asg = FactorAssignment(np.array([1]))
+        seen = {"sample_loadings": [], "sample_residual_variances": [], "log_joint": []}
+
+        def recording(name):
+            original = getattr(nifa.sampler, name)
+
+            def block(*args, **kwargs):
+                seen[name].append(kwargs["factors"] if name == "log_joint" else args[0])
+                return original(*args, **kwargs)
+            return block
+
+        for name in seen:
+            monkeypatch.setattr(nifa.sampler, name, recording(name))
+        chain = run_chain(data, anchor, hp, asg)
+        # kept points come from both rejected and accepted proposals
+        assert 0 < chain.diagnostics.mala_acceptance_rate < 1
+        assert len(seen["log_joint"]) == len(chain)
+        for m in range(len(chain)):
+            expected = eta(chain.spline_coefficients[m], chain.latent_locations[m], asg)
+            assert np.array_equal(seen["log_joint"][m], expected)
+            if m + 1 < len(chain):  # the next sweep's loadings and variance blocks
+                assert np.array_equal(seen["sample_loadings"][hp.burn_in + m + 1], expected)
+                assert np.array_equal(seen["sample_residual_variances"][m + 1], expected)
 
     def test_chain_trace_matches_samples(self):
         data, anchor = self.make_problem(seed=5)
