@@ -175,7 +175,7 @@ def _cmd_postprocess(args) -> int:
     chain = runio.load_chain(args.run_dir)
     processed, report = postprocess.postprocess_chain(chain)
     # model-mean preservation on a shared u-grid, before vs after alignment
-    grid = np.linspace(0.0, 1.0, 101)
+    grid = postprocess.U_GRID
     before, after = (postprocess.mappings_on_grid(c, grid) @ c.loadings.transpose(0, 2, 1)
                      for c in (chain, processed))
     max_delta = float(np.max(np.abs(before - after)))
@@ -320,7 +320,9 @@ def main(argv=None) -> int:
             FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, FileNotFoundError, ValueError) as exc:
+    # OSError covers a named path that is missing, a file where a directory
+    # belongs and the reverse; BrokenProcessPool is a RuntimeError, caught above
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,12 @@ from .model import eta
 from .sampler import PosteriorChain
 
 
+U_GRID = np.linspace(0.0, 1.0, 101)  # summaries and the model-mean check evaluate g here
+U_GRID.flags.writeable = False
+CREDIBLE_LEVEL = 0.90
+TIE_TOL = 1e-12  # column-matching scores this close count as a tie
+
+
 class DegenerateLoadingError(ValueError):
     """A loading column or partition is numerically degenerate."""
 
@@ -50,7 +56,7 @@ def orthogonalize_partition(lambda_block: np.ndarray):
     return out * signs, np.swapaxes(vt, -1, -2) * signs
 
 
-def _greedy_match(pivot_block: np.ndarray, block: np.ndarray, tol: float = 1e-12):
+def _greedy_match(pivot_block: np.ndarray, block: np.ndarray):
     """Greedy column matching by maximal absolute inner product.
 
     Returns (perm, signs, tied): column j of the aligned block is
@@ -66,8 +72,8 @@ def _greedy_match(pivot_block: np.ndarray, block: np.ndarray, tol: float = 1e-12
         best = np.max(score)
         i, j = np.unravel_index(np.argmax(score), score.shape)
         # ambiguous only if another candidate in the same row or column ties
-        row_ties = np.sum(np.isclose(score[i, :], best, rtol=0.0, atol=tol))
-        col_ties = np.sum(np.isclose(score[:, j], best, rtol=0.0, atol=tol))
+        row_ties = np.sum(np.isclose(score[i, :], best, rtol=0.0, atol=TIE_TOL))
+        col_ties = np.sum(np.isclose(score[:, j], best, rtol=0.0, atol=TIE_TOL))
         if max(row_ties, col_ties) > 1:
             tied = True
         perm[i] = j
@@ -139,14 +145,13 @@ def mappings_on_grid(chain: PosteriorChain, grid: np.ndarray) -> np.ndarray:
     return np.stack([eta(c, grid_u, chain.assignment) for c in chain.spline_coefficients])
 
 
-def summarize(chain: PosteriorChain, n_grid: int = 101, level: float = 0.90):
-    """Posterior means and central credible intervals for the aligned chain.
+def summarize(chain: PosteriorChain):
+    """Posterior means and central CREDIBLE_LEVEL intervals for the aligned chain.
 
-    Mappings are summarized by evaluating each sample's splines on a uniform
-    grid of ``n_grid`` points. Returns a dict of arrays.
+    Mappings are summarized by evaluating each sample's splines on U_GRID.
+    Returns a dict of arrays.
     """
-    lo_q, hi_q = (1 - level) / 2, 1 - (1 - level) / 2
-    grid = np.linspace(0.0, 1.0, n_grid)
+    lo_q, hi_q = (1 - CREDIBLE_LEVEL) / 2, 1 - (1 - CREDIBLE_LEVEL) / 2
     def stats(arr):
         return (
             arr.mean(axis=0),
@@ -155,9 +160,9 @@ def summarize(chain: PosteriorChain, n_grid: int = 101, level: float = 0.90):
         )
     lam_mean, lam_lo, lam_hi = stats(chain.loadings)
     sig_mean, sig_lo, sig_hi = stats(chain.residual_variances)
-    g_mean, g_lo, g_hi = stats(mappings_on_grid(chain, grid))
+    g_mean, g_lo, g_hi = stats(mappings_on_grid(chain, U_GRID))
     return {
-        "u_grid": grid,
+        "u_grid": U_GRID,
         "loadings_mean": lam_mean, "loadings_lower": lam_lo, "loadings_upper": lam_hi,
         "variances_mean": sig_mean, "variances_lower": sig_lo, "variances_upper": sig_hi,
         "mappings_mean": g_mean, "mappings_lower": g_lo, "mappings_upper": g_hi,

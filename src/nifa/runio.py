@@ -7,7 +7,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +87,10 @@ def load_anchor_set(anchor_dir) -> AnchorSet:
     coords = load_matrix(coords_path)
     meta = load_json(meta_path)
     _require_keys(meta, ("residual_variances", "source"), meta_path)
-    return AnchorSet(coords, np.asarray(meta["residual_variances"]), meta["source"])
+    try:
+        return AnchorSet(coords, np.asarray(meta["residual_variances"]), meta["source"])
+    except TypeError as exc:
+        raise IncompleteRunError(f"{meta_path} holds a value of the wrong type: {exc}") from None
 
 
 def save_chain(run_dir, chain: PosteriorChain) -> None:
@@ -126,12 +129,12 @@ def load_chain(run_dir) -> PosteriorChain:
     manifest = load_json(manifest_path)
     _require_keys(manifest, ("n_samples", "assignment", "mala_acceptance_rate",
                              "block_seconds", "config"), manifest_path)
-    config = manifest["config"]
-    _require_keys(config, (), f"{manifest_path} config")
-    unknown = sorted(config.keys() - {f.name for f in fields(Hyperparameters)})
-    if unknown:
-        raise IncompleteRunError(f"{manifest_path} config has unknown fields: "
-                                 f"{', '.join(unknown)}")
+    try:  # a config that is no object, or a field of an unknown name or a wrong type
+        config = Hyperparameters(**manifest["config"])
+        assignment = FactorAssignment(np.asarray(manifest["assignment"], dtype=int))
+    except TypeError as exc:
+        raise IncompleteRunError(f"{manifest_path} holds a config or assignment of the "
+                                 f"wrong form: {exc}") from None
     try:
         with np.load(run_dir / "chain.npz", allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in CHAIN_ARRAYS}
@@ -148,8 +151,8 @@ def load_chain(run_dir) -> PosteriorChain:
     )
     return PosteriorChain(
         **arrays,
-        assignment=FactorAssignment(np.asarray(manifest["assignment"], dtype=int)),
+        assignment=assignment,
         diagnostics=diagnostics,
-        config=Hyperparameters(**config),
+        config=config,
         anchor=load_anchor_set(run_dir / "anchor"),
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -297,17 +297,10 @@ def u_log_target(
     data: DataMatrix,
     nu: float,
 ):
-    """Log conditional density of the latent locations u and its N x K gradient.
-
-    Returns (-inf, zeros) when any coordinate leaves [0,1].
+    """Log conditional density of the latent locations u, its N x K gradient and
+    the factors eta(coefficients, u, assignment) behind both, as (value,
+    gradient, factors); (-inf, zeros, None) when any coordinate leaves [0,1].
     """
-    return _u_log_target(u, coefficients, loadings, residual_variances, assignment, data,
-                         nu)[:2]
-
-
-def _u_log_target(u, coefficients, loadings, residual_variances, assignment, data, nu):
-    """u_log_target's (value, gradient) plus the factors eta(coefficients, u),
-    which are None when u leaves [0,1]."""
     if _outside_unit_interval(u):
         return -np.inf, np.zeros_like(u), None
     k0 = assignment.zero_based
@@ -332,23 +325,24 @@ def _u_log_target(u, coefficients, loadings, residual_variances, assignment, dat
 def mala_step(u: np.ndarray, log_target, epsilon: float, rng: np.random.Generator):
     """One Langevin-proposal Metropolis-Hastings update of all latent locations.
 
-    ``log_target(u)`` returns the log density and its gradient. Returns
-    (new u matrix, accepted). Proposals leaving [0,1] are rejected.
+    ``log_target(u)`` returns (log density, gradient, extra), as u_log_target
+    does. Returns (new u matrix, accepted, the target's extra at the new u).
+    Proposals leaving [0,1] are rejected without calling the target there.
     """
     if epsilon <= 0:
         raise ValueError("step size must be positive")
-    v0, g0 = log_target(u)
+    v0, g0, extra0 = log_target(u)
     noise = rng.standard_normal(u.shape)
     prop = u + epsilon * g0 + np.sqrt(2.0 * epsilon) * noise
     if _outside_unit_interval(prop):
-        return u, False
-    v1, g1 = log_target(prop)
+        return u, False, extra0
+    v1, g1, extra1 = log_target(prop)
     fwd = np.sum((prop - u - epsilon * g0) ** 2)
     bwd = np.sum((u - prop - epsilon * g1) ** 2)
     log_alpha = v1 - v0 + (fwd - bwd) / (4.0 * epsilon)
     if np.log(rng.random()) < log_alpha:
-        return prop, True
-    return u, False
+        return prop, True, extra1
+    return u, False, extra0
 
 
 def _inv_gamma(rng: np.random.Generator, shape, scale):
@@ -496,8 +490,8 @@ def run_chain(
     accept_count = 0
     post_burn_steps = 0
 
-    # g(u) is evaluated once per sweep: the MALA target computes the factors at
-    # each point it visits, and those of the point kept serve the next sweep
+    # g(u) is computed once per sweep: mala_step hands back the factors its
+    # target computed at the point kept, and they serve the next sweep
     factors = eta(coef, u, assignment)
     for t in range(hp.iterations):
         t0 = time.perf_counter()
@@ -517,15 +511,9 @@ def run_chain(
         t3 = time.perf_counter()
 
         epsilon = float(np.exp(log_eps))
-        evaluated = []  # (point, factors at that point)
-
-        def target(x):
-            value, grad, at_x = _u_log_target(x, coef, lam, sigma2, assignment, data, hp.nu)
-            evaluated.append((x, at_x))
-            return value, grad
-
-        u, accepted = mala_step(u, target, epsilon, rng)
-        factors = next(at_x for x, at_x in evaluated if x is u)
+        target = partial(u_log_target, coefficients=coef, loadings=lam,
+                         residual_variances=sigma2, assignment=assignment, data=data, nu=hp.nu)
+        u, accepted, factors = mala_step(u, target, epsilon, rng)
         _require_valid(t, latent_locations=u)
         if t < hp.burn_in:
             log_eps += 0.05 * ((1.0 if accepted else 0.0) - MALA_TARGET_ACCEPTANCE)

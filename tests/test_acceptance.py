@@ -250,7 +250,7 @@ def test_criterion_5a_gradient(capsys):
     worst = 0.0
     for _ in range(100):
         target = _u_target(state, data, nu=1e3)
-        _, grad = target(state["latent_locations"])
+        _, grad, _ = target(state["latent_locations"])
         i = rng.integers(12)
         k = rng.integers(2)
         eps = 1e-6
@@ -259,8 +259,8 @@ def test_criterion_5a_gradient(capsys):
             u_lo = state["latent_locations"].copy()
             u_hi[i, k] += eps
             u_lo[i, k] -= eps
-            hi, _ = target(u_hi)
-            lo, _ = target(u_lo)
+            hi, _, _ = target(u_hi)
+            lo, _, _ = target(u_lo)
             fd = (hi - lo) / (2 * eps)
             rel = abs(fd - grad[i, k]) / max(abs(fd), 1e-12)
             worst = max(worst, rel)
@@ -370,7 +370,7 @@ def _geweke_sweep(state, data, rng):
     target = partial(u_log_target, coefficients=coef, loadings=lam, residual_variances=sig,
                      assignment=_GEWEKE_ASSIGNMENT, data=data, nu=0.0)
     for _ in range(10):
-        u, _ = mala_step(u, target, _GEWEKE_EPS, rng)
+        u, _, _ = mala_step(u, target, _GEWEKE_EPS, rng)
     return dict(loadings=lam, spline_coefficients=coef, latent_locations=u,
                 residual_variances=sig)
 

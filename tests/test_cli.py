@@ -555,6 +555,19 @@ class TestExitCodes:
         assert run(command, run_dir, *extra) == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_output_path_of_the_wrong_kind_is_input_error(self, workspace, tmp_path, capsys,
+                                                           command):
+        if command == "fit":
+            taken = tmp_path / "taken.csv"
+            taken.write_text("")
+            argv = ["fit", "--input", workspace / "data.csv", "--anchor-dir",
+                    workspace / "anchors", "--out", taken, "--pieces", "8"]
+        else:
+            argv = ["simulate", "--setting", "1", "--n", "10", "--out", tmp_path]
+        assert run(*argv) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestPretrainPass:
     def test_one_eigensolve_and_decisions_recorded(self, workspace, tmp_path, monkeypatch,

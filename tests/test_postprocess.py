@@ -236,11 +236,11 @@ class TestPipeline:
     def test_summarize_shapes(self):
         chain = make_chain(seed=11)
         out, _ = postprocess_chain(chain)
-        s = summarize(out, n_grid=51)
+        s = summarize(out)
         p, h = out.loadings.shape[1:]
-        assert s["u_grid"].shape == (51,)
+        assert s["u_grid"].shape == (101,)
         assert s["loadings_mean"].shape == (p, h)
-        assert s["mappings_mean"].shape == (51, h)
+        assert s["mappings_mean"].shape == (101, h)
         assert np.all(s["loadings_lower"] <= s["loadings_upper"] + 1e-12)
 
     def test_summarize_interval_covers_mean_of_constant_chain(self):

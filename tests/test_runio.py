@@ -8,9 +8,11 @@ from nifa.runio import (
     IncompleteRunError,
     load_anchor_set,
     load_chain,
+    load_json,
     load_matrix,
     save_anchor_set,
     save_chain,
+    save_json,
     save_matrix,
 )
 from nifa.sampler import CHAIN_ARRAYS, run_chain
@@ -102,6 +104,21 @@ class TestChainIO:
         save_chain(tmp_path / "run", chain)
         (tmp_path / "run" / "chain.npz").unlink()
         with pytest.raises(IncompleteRunError, match="chain.npz"):
+            load_chain(tmp_path / "run")
+
+    @pytest.mark.parametrize("record, key, field, value", [
+        ("manifest.json", "config", "nu", "abc"),
+        ("manifest.json", "config", "L", None),
+        ("anchor/anchor_meta.json", None, "residual_variances", {"x": 1}),
+    ], ids=["string_nu", "null_pieces", "object_anchor_variances"])
+    def test_wrongly_typed_field_names_its_record(self, tmp_path, record, key, field, value):
+        chain, _ = make_chain(seed=8)
+        save_chain(tmp_path / "run", chain)
+        path = tmp_path / "run" / record
+        meta = load_json(path)
+        (meta[key] if key else meta)[field] = value
+        save_json(path, meta)
+        with pytest.raises(IncompleteRunError, match=path.name):
             load_chain(tmp_path / "run")
 
     def test_sample_count_must_match_manifest(self, tmp_path):

@@ -463,7 +463,7 @@ class TestULogTarget:
         st, data = state_data_pair(seed=19)
         target = u_target(st, data, nu=50.0)
         u = st["latent_locations"]
-        val, grad = target(u)
+        val, grad, _ = target(u)
         eps = 1e-6
         for _ in range(30):
             rng = np.random.default_rng(_)
@@ -473,31 +473,64 @@ class TestULogTarget:
             dn = u.copy()
             up[i, k] += eps
             dn[i, k] -= eps
-            vp, _g = target(up)
-            vn, _g = target(dn)
+            vp, _g, _f = target(up)
+            vn, _g, _f = target(dn)
             fd = (vp - vn) / (2 * eps)
             assert grad[i, k] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
     def test_zero_gradient_at_model_mean(self):
         st, _ = state_data_pair(seed=20)
         data = DataMatrix(model_mean(st))
-        _, grad = u_target(st, data, nu=0.0)(st["latent_locations"])
+        _, grad, _ = u_target(st, data, nu=0.0)(st["latent_locations"])
         assert np.allclose(grad, 0.0, atol=1e-10)
 
     def test_penalty_only_gradient(self):
         st = make_state(np.zeros((1, 1)), [[0.0], [1.0]], [[0.2], [0.9]], [1.0])
         data = DataMatrix(np.zeros((2, 1)))
-        _, grad = u_target(st, data, nu=1.0)(st["latent_locations"])
+        _, grad, _ = u_target(st, data, nu=1.0)(st["latent_locations"])
         # target = -nu * penalty, so its gradient is minus the penalty gradient
         assert grad[:, 0] == pytest.approx([0.6, 0.2])
 
+    def test_factors_inside_and_none_outside(self):
+        st, data = state_data_pair(seed=19)
+        target = u_target(st, data, nu=50.0)
+        u = st["latent_locations"]
+        assert np.array_equal(target(u)[2], factors(st))
+        outside = u.copy()
+        outside[0, 0] = 1.5
+        value, grad, at_outside = target(outside)
+        assert value == -np.inf
+        assert np.array_equal(grad, np.zeros_like(u))
+        assert at_outside is None
+
 
 class TestMala:
+    @pytest.mark.parametrize("epsilon, seed, n_scored, accepted", [
+        (1e-3, 0, 2, True),
+        (1e-2, 0, 2, False),
+        (100.0, 22, 1, False),
+    ], ids=["accept", "metropolis_reject", "out_of_bounds"])
+    def test_hands_back_factors_at_the_kept_point(self, epsilon, seed, n_scored, accepted):
+        st, data = state_data_pair(seed=21)
+        target = u_target(st, data, nu=0.0)
+        scored = []
+
+        def counted(u):
+            scored.append(u)
+            return target(u)
+
+        u = st["latent_locations"]
+        u_new, acc, at_new = mala_step(u, counted, epsilon, np.random.default_rng(seed))
+        # the exit taken: target scored at u only, or at u and the proposal
+        assert (len(scored), acc) == (n_scored, accepted)
+        assert np.array_equal(u_new, scored[1] if accepted else u)
+        assert np.array_equal(at_new, eta(st["spline_coefficients"], u_new, st["assignment"]))
+
     def test_out_of_bounds_rejected(self):
         st, data = state_data_pair(seed=21)
         rng = np.random.default_rng(22)
         u = st["latent_locations"]
-        u_new, accepted = mala_step(u, u_target(st, data, nu=0.0), epsilon=100.0, rng=rng)
+        u_new, accepted, _ = mala_step(u, u_target(st, data, nu=0.0), epsilon=100.0, rng=rng)
         assert not accepted
         assert np.array_equal(u_new, u)
 
@@ -509,7 +542,7 @@ class TestMala:
         n_in = n_acc = 0
         cur = st["latent_locations"]
         for _ in range(300):
-            u_new, acc = mala_step(cur, target, 1e-3, rng)
+            u_new, acc, _ = mala_step(cur, target, 1e-3, rng)
             moved = not np.array_equal(u_new, cur)
             if moved or acc:
                 n_in += 1
@@ -536,7 +569,7 @@ class TestMala:
         n_steps = 200_000
         keep = np.empty(2 * n_steps)
         for t in range(n_steps):
-            cur, _ = mala_step(cur, target, 0.01, rng)
+            cur, _, _ = mala_step(cur, target, 0.01, rng)
             keep[2 * t : 2 * t + 2] = cur[:, 0]
         # target per coordinate: exp(-(x - lam*u)^2 / (2 sig2)) on [0,1]
         grid = np.linspace(0, 1, 2001)
