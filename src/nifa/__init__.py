@@ -22,7 +22,14 @@ from .pretrain import (
     estimate_dimension,
     run_pretraining,
 )
-from .sampler import ChainDiagnostics, PosteriorChain, initial_state, log_joint, run_chain
+from .sampler import (
+    ChainDiagnostics,
+    LatentGeometry,
+    PosteriorChain,
+    initial_state,
+    log_joint,
+    run_chain,
+)
 from .postprocess import (
     AlignmentReport,
     DegenerateLoadingError,
@@ -62,6 +69,7 @@ __all__ = [
     "DomainError",
     "FactorAssignment",
     "Hyperparameters",
+    "LatentGeometry",
     "PosteriorChain",
     "ShapeError",
     "anchors_from_external",

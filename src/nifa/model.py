@@ -231,9 +231,17 @@ def eta(coefficients: np.ndarray, u: np.ndarray, assignment: FactorAssignment) -
     intercepts; the locations ``u`` (N x K) must lie in [0,1].
     """
     n_pieces = coefficients.shape[0] - 1
-    bases = [spline_basis(u_col, n_pieces) for u_col in u.T]  # shared by a column's factors
+    return eta_from_bases(coefficients, [spline_basis(u_col, n_pieces) for u_col in u.T],
+                          assignment)
+
+
+def eta_from_bases(coefficients: np.ndarray, bases, assignment: FactorAssignment) -> np.ndarray:
+    """The factors of ``eta`` from the K per-column N x L clamp bases
+    spline_basis(u[:, k], L), each shared by the factors of its column. A
+    basis may be the [:, 1:] view of spline_design(u[:, k], L): the products
+    are bitwise the same."""
     k0 = assignment.zero_based
-    out = np.empty((u.shape[0], k0.size))
+    out = np.empty((bases[0].shape[0], k0.size))
     for h, k in enumerate(k0):
         out[:, h] = coefficients[0, h] + bases[k] @ coefficients[1:, h]
     return out

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import asdict
 from pathlib import Path
@@ -54,6 +55,20 @@ def _require_keys(record, keys, path) -> None:
     missing = [k for k in keys if k not in record]
     if missing:
         raise IncompleteRunError(f"{path} lacks {', '.join(missing)}")
+
+
+def _is_number(value) -> bool:
+    """Whether a JSON value is a finite number (a bool is not one)."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _require_form(ok: bool, path, key: str, form: str) -> None:
+    if not ok:
+        raise IncompleteRunError(f"{path} holds a {key} that is not {form}")
 
 
 def _jsonable(obj):
@@ -129,10 +144,22 @@ def load_chain(run_dir) -> PosteriorChain:
     manifest = load_json(manifest_path)
     _require_keys(manifest, ("n_samples", "assignment", "mala_acceptance_rate",
                              "block_seconds", "config"), manifest_path)
-    try:  # a config that is no object, or a field of an unknown name or a wrong type
+    rate, seconds, entries = (manifest[key] for key in
+                              ("mala_acceptance_rate", "block_seconds", "assignment"))
+    _require_form(_is_number(rate) and 0 <= rate <= 1, manifest_path, "mala_acceptance_rate",
+                  "a number in [0, 1]")
+    _require_form(isinstance(seconds, list) and len(seconds) == 5
+                  and all(_is_number(s) and s >= 0 for s in seconds), manifest_path,
+                  "block_seconds", "a list of five finite non-negative numbers")
+    _require_form(isinstance(entries, list)
+                  and all(isinstance(k, int) and not isinstance(k, bool) for k in entries),
+                  manifest_path, "assignment", "a list of integers")
+    # a config that is no object, a field of an unknown name or a wrong type, or an
+    # assignment entry beyond the integer range
+    try:
         config = Hyperparameters(**manifest["config"])
-        assignment = FactorAssignment(np.asarray(manifest["assignment"], dtype=int))
-    except TypeError as exc:
+        assignment = FactorAssignment(np.asarray(entries, dtype=int))
+    except (TypeError, OverflowError) as exc:
         raise IncompleteRunError(f"{manifest_path} holds a config or assignment of the "
                                  f"wrong form: {exc}") from None
     try:
@@ -146,8 +173,8 @@ def load_chain(run_dir) -> PosteriorChain:
     trace = load_matrix(run_dir / "log_posterior.csv")
     diagnostics = ChainDiagnostics(
         log_posterior_trace=trace.ravel(),
-        mala_acceptance_rate=manifest["mala_acceptance_rate"],
-        block_seconds=np.asarray(manifest["block_seconds"]),
+        mala_acceptance_rate=float(rate),
+        block_seconds=np.asarray(seconds, dtype=float),
     )
     return PosteriorChain(
         **arrays,

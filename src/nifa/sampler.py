@@ -26,7 +26,7 @@ from .model import (
     FactorAssignment,
     Hyperparameters,
     ShapeError,
-    eta,
+    eta_from_bases,
     log_likelihood,
     rank_transform,
     spline_design,
@@ -127,6 +127,47 @@ def uniform_penalty(u_col: np.ndarray):
     return float((gap**2).sum()), grad
 
 
+class LatentGeometry:
+    """What a sweep reads of the latent locations u (N x K) alone, computed
+    once per distinct u and carried beside it.
+
+    Built from u: per column, the N x (L+1) spline design
+    spline_design(u[:, k], L), which the spline block reads and whose clamp
+    columns ``bases`` give the factors, and the N x K rows of the coefficient
+    matrix that hold dg/du. On
+    first use: the K x K design cross products, which only the spline block
+    reads, and the per-column uniform penalty (value, gradient), which only a
+    positive nu reads.
+
+    Reuse is keyed on the point itself: ``u`` is the array the geometry was
+    built from, and ``at(v)`` returns this geometry when v is that array.
+    Nothing may write u in place after the build.
+    """
+
+    def __init__(self, u: np.ndarray, n_pieces: int):
+        if _outside_unit_interval(u):
+            raise DomainError("latent locations must lie in [0,1]")
+        self.u = u
+        self.n_pieces = n_pieces
+        self.designs = [spline_design(u_col, n_pieces) for u_col in u.T]  # K of N x (L+1)
+        self.bases = [design[:, 1:] for design in self.designs]  # their clamp columns
+        self.slope_rows = 1 + spline_piece(u, n_pieces)
+
+    def at(self, u: np.ndarray) -> "LatentGeometry":
+        """This geometry if u is its point, else one built from u."""
+        return self if u is self.u else LatentGeometry(u, self.n_pieces)
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """K x K x (L+1) x (L+1) stack of the design cross products D_a^T D_b."""
+        return np.array([[da.T @ db for db in self.designs] for da in self.designs])
+
+    @cached_property
+    def penalties(self) -> list:
+        """uniform_penalty (value, gradient) of each column."""
+        return [uniform_penalty(u_col) for u_col in self.u.T]
+
+
 def loadings_posterior(
     eta: np.ndarray,
     residual_variances: np.ndarray,
@@ -204,15 +245,19 @@ def sample_residual_variances(
 def spline_posterior(
     loadings: np.ndarray,
     residual_variances: np.ndarray,
-    latent_locations: np.ndarray,
+    geometry: LatentGeometry,
     assignment: FactorAssignment,
     data: DataMatrix,
     hp: Hyperparameters,
 ):
     """Precision matrix and linear term of the joint Gaussian over all
-    spline coefficients (intercepts first within each factor block)."""
-    bases = [spline_design(u_col, hp.L) for u_col in latent_locations.T]  # K of N x (L+1)
-    cross = np.array([[ba.T @ bb for bb in bases] for ba in bases])  # K x K x (L+1) x (L+1)
+    spline coefficients (intercepts first within each factor block).
+
+    The designs and their cross products come from ``geometry``, the
+    LatentGeometry of the latent locations: they are built once per distinct
+    u, not once per call.
+    """
+    bases, cross = geometry.designs, geometry.cross
     k0 = assignment.zero_based
     weighted = loadings * (1.0 / residual_variances)[:, None]  # P x H
     cross_lam = weighted.T @ loadings  # H x H
@@ -241,7 +286,7 @@ def sample_spline_coefficients(
     coefficients: np.ndarray,
     loadings: np.ndarray,
     residual_variances: np.ndarray,
-    latent_locations: np.ndarray,
+    geometry: LatentGeometry,
     assignment: FactorAssignment,
     data: DataMatrix,
     hp: Hyperparameters,
@@ -258,12 +303,12 @@ def sample_spline_coefficients(
     ``rng.random()`` for an inverse-CDF draw, or one
     ``rng.standard_exponential()`` when zero lies 6 or more conditional
     standard deviations above its mean. Around this block, a run_chain sweep
-    evaluates the factors g(u) once, in the latent-location update.
+    evaluates the factors g(u) once, in the latent-location update. The
+    block reads the designs of u from ``geometry`` (see spline_posterior).
     """
     from scipy.special import ndtr, ndtri
 
-    prec, lin = spline_posterior(loadings, residual_variances, latent_locations, assignment,
-                                 data, hp)
+    prec, lin = spline_posterior(loadings, residual_variances, geometry, assignment, data, hp)
     width, h = coefficients.shape
     diag = prec.diagonal()
     if np.any(diag <= 0):
@@ -296,38 +341,45 @@ def u_log_target(
     assignment: FactorAssignment,
     data: DataMatrix,
     nu: float,
+    geometry: LatentGeometry,
 ):
-    """Log conditional density of the latent locations u, its N x K gradient and
-    the factors eta(coefficients, u, assignment) behind both, as (value,
-    gradient, factors); (-inf, zeros, None) when any coordinate leaves [0,1].
+    """Log conditional density of the latent locations u and its N x K gradient,
+    with what they were computed from, as (value, gradient, (factors, geometry at
+    u)); (-inf, zeros, None) when any coordinate leaves [0,1].
+
+    ``geometry`` is the LatentGeometry of one point, typically the chain's
+    current one: it serves when u is that point, and one is built from u
+    otherwise. The factors are eta(coefficients, u, assignment).
     """
     if _outside_unit_interval(u):
         return -np.inf, np.zeros_like(u), None
-    k0 = assignment.zero_based
-    factors = eta(coefficients, u, assignment)
+    geometry = geometry.at(u)
+    factors = eta_from_bases(coefficients, geometry.bases, assignment)
     resid = data.values - factors @ loadings.T
     inv_sig = 1.0 / residual_variances
     value = -0.5 * float(np.sum(resid**2 * inv_sig))
     weighted = resid * inv_sig  # N x P
-    slope_rows = 1 + spline_piece(u, coefficients.shape[0] - 1)  # dg/du sits in these rows
+    slope_rows = geometry.slope_rows  # dg/du sits in these rows
     grad = np.zeros_like(u)
-    for h, k in enumerate(k0):
+    for h, k in enumerate(assignment.zero_based):
         pull = weighted @ loadings[:, h]
         grad[:, k] += pull * coefficients[slope_rows[:, k], h]
     if nu > 0:
-        for kk, u_col in enumerate(u.T):
-            penalty, penalty_grad = uniform_penalty(u_col)
+        for kk, (penalty, penalty_grad) in enumerate(geometry.penalties):
             value -= nu * penalty
             grad[:, kk] -= nu * penalty_grad
-    return value, grad, factors
+    return value, grad, (factors, geometry)
 
 
 def mala_step(u: np.ndarray, log_target, epsilon: float, rng: np.random.Generator):
     """One Langevin-proposal Metropolis-Hastings update of all latent locations.
 
     ``log_target(u)`` returns (log density, gradient, extra), as u_log_target
-    does. Returns (new u matrix, accepted, the target's extra at the new u).
-    Proposals leaving [0,1] are rejected without calling the target there.
+    does. Returns (new u matrix, accepted, the target's extra at the new u) on
+    each of the three exits: accept, Metropolis reject and a proposal leaving
+    [0,1], which is rejected without calling the target there. With
+    u_log_target the extra is the kept point's factors and LatentGeometry, so
+    a caller carries both to its next sweep.
     """
     if epsilon <= 0:
         raise ValueError("step size must be positive")
@@ -380,7 +432,7 @@ def sample_shrinkage(
 def log_joint(
     loadings: np.ndarray,
     spline_coefficients: np.ndarray,
-    latent_locations: np.ndarray,
+    geometry: LatentGeometry,
     residual_variances: np.ndarray,
     local_scales: np.ndarray,
     global_scale: float,
@@ -390,13 +442,16 @@ def log_joint(
     n_anchor: int = 0,
     factors: np.ndarray | None = None,
 ) -> float:
-    """Joint log posterior density up to an additive constant.
+    """Joint log posterior density up to an additive constant, at the latent
+    locations ``geometry.u``.
 
-    ``factors`` may pass eta(spline_coefficients, latent_locations, assignment)
-    when the caller already holds it.
+    The uniform penalty is read from ``geometry``, so a point's penalty is
+    computed once however often it is scored. ``factors`` may pass
+    eta(spline_coefficients, geometry.u, assignment) when the caller already
+    holds it.
     """
     if factors is None:
-        factors = eta(spline_coefficients, latent_locations, assignment)
+        factors = eta_from_bases(spline_coefficients, geometry.bases, assignment)
     value = log_likelihood(factors @ loadings.T, residual_variances, data)
     lam2 = loadings**2
     prior_var = global_scale * local_scales
@@ -405,8 +460,9 @@ def log_joint(
     value += float(np.sum(-(hp.a_sigma + 1) * np.log(sig) - hp.b_sigma / sig))
     for c in spline_coefficients.T:
         value -= 0.5 * (float(c[0]) ** 2 + float(np.sum(c[1:] ** 2))) / hp.sigma_a_sq
-    for u_col in latent_locations.T:
-        value -= hp.nu * uniform_penalty(u_col)[0]
+    if hp.nu > 0:  # at nu = 0 the penalty term adds exactly 0
+        for penalty, _ in geometry.penalties:
+            value -= hp.nu * penalty
     # shrinkage scales: half-Cauchy on the square roots, so the density of
     # the variance multipliers is proportional to s^(-1/2) / (1 + s)
     for s in (local_scales, np.array(global_scale)):
@@ -490,9 +546,11 @@ def run_chain(
     accept_count = 0
     post_burn_steps = 0
 
-    # g(u) is computed once per sweep: mala_step hands back the factors its
+    # g(u) is computed once per sweep, and what depends on u alone once per
+    # distinct u: mala_step hands back the factors and the LatentGeometry its
     # target computed at the point kept, and they serve the next sweep
-    factors = eta(coef, u, assignment)
+    geometry = LatentGeometry(u, hp.L)
+    factors = eta_from_bases(coef, geometry.bases, assignment)
     for t in range(hp.iterations):
         t0 = time.perf_counter()
         lam = sample_loadings(factors, sigma2, tau * gamma, data, rng)
@@ -506,14 +564,16 @@ def run_chain(
             _require_valid(t, residual_variances=sigma2)
         t2 = time.perf_counter()
 
-        coef = sample_spline_coefficients(coef, lam, sigma2, u, assignment, data, hp, rng)
+        coef = sample_spline_coefficients(coef, lam, sigma2, geometry, assignment, data, hp,
+                                          rng)
         _require_valid(t, spline_coefficients=coef)
         t3 = time.perf_counter()
 
         epsilon = float(np.exp(log_eps))
         target = partial(u_log_target, coefficients=coef, loadings=lam,
-                         residual_variances=sigma2, assignment=assignment, data=data, nu=hp.nu)
-        u, accepted, factors = mala_step(u, target, epsilon, rng)
+                         residual_variances=sigma2, assignment=assignment, data=data, nu=hp.nu,
+                         geometry=geometry)
+        u, accepted, (factors, geometry) = mala_step(u, target, epsilon, rng)
         _require_valid(t, latent_locations=u)
         if t < hp.burn_in:
             log_eps += 0.05 * ((1.0 if accepted else 0.0) - MALA_TARGET_ACCEPTANCE)
@@ -530,11 +590,10 @@ def run_chain(
 
         if t >= hp.burn_in and (t - hp.burn_in) % hp.thin == 0:
             m = (t - hp.burn_in) // hp.thin
-            state = dict(zip(CHAIN_ARRAYS, (lam, coef, u, sigma2, gamma, tau)))
-            trace[m] = log_joint(**state, assignment=assignment, data=data, hp=hp, n_anchor=k,
-                                 factors=factors)
+            trace[m] = log_joint(lam, coef, geometry, sigma2, gamma, tau, assignment, data, hp,
+                                 n_anchor=k, factors=factors)
             _require_valid(t, log_posterior=trace[m])
-            for name, arr in state.items():
+            for name, arr in zip(CHAIN_ARRAYS, (lam, coef, u, sigma2, gamma, tau)):
                 draws[name][m] = arr
 
     diagnostics = ChainDiagnostics(

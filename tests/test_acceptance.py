@@ -27,6 +27,7 @@ from nifa.model import (
 from nifa.postprocess import match_align, postprocess_chain
 from nifa.pretrain import DiffusionConfig, run_pretraining
 from nifa.sampler import (
+    LatentGeometry,
     loadings_posterior,
     mala_step,
     residual_variance_params,
@@ -238,9 +239,11 @@ def _random_state(rng, n=12, p=4, h=2, k=2, L=5):
 
 def _u_target(state, data, nu):
     """The latent-location log target of a state as a function of u alone."""
-    return partial(u_log_target, coefficients=state["spline_coefficients"],
-                   loadings=state["loadings"], residual_variances=state["residual_variances"],
-                   assignment=state["assignment"], data=data, nu=nu)
+    coef, u = state["spline_coefficients"], state["latent_locations"]
+    return partial(u_log_target, coefficients=coef, loadings=state["loadings"],
+                   residual_variances=state["residual_variances"],
+                   assignment=state["assignment"], data=data, nu=nu,
+                   geometry=LatentGeometry(u, coef.shape[0] - 1))
 
 
 def test_criterion_5a_gradient(capsys):
@@ -302,7 +305,7 @@ def test_criterion_5b_conjugate_blocks(capsys):
     err_sig = abs(float(rates[0] / (shape - 1)) - float(np.sum(sgrid * wq) / np.sum(wq)))
 
     # spline block: conditional mean of the intercept coordinate
-    prec, lin = spline_posterior(lam, sig, u, asg, data, hp)
+    prec, lin = spline_posterior(lam, sig, LatentGeometry(u, hp.L), asg, data, hp)
     beta = coef[:, 0]
     c = 0
     cond_mean = (lin[c] - prec[c] @ beta + prec[c, c] * beta[c]) / prec[c, c]
@@ -365,12 +368,13 @@ def _geweke_sweep(state, data, rng):
         factors, lam, data, _GEWEKE_HP, rng, anchor_variances=np.array([_GEWEKE_ANCHOR_VAR])
     )
     u = state["latent_locations"]
-    coef = sample_spline_coefficients(state["spline_coefficients"], lam, sig, u,
+    geometry = LatentGeometry(u, _GEWEKE_L)
+    coef = sample_spline_coefficients(state["spline_coefficients"], lam, sig, geometry,
                                       _GEWEKE_ASSIGNMENT, data, _GEWEKE_HP, rng)
     target = partial(u_log_target, coefficients=coef, loadings=lam, residual_variances=sig,
                      assignment=_GEWEKE_ASSIGNMENT, data=data, nu=0.0)
     for _ in range(10):
-        u, _, _ = mala_step(u, target, _GEWEKE_EPS, rng)
+        u, _, (_, geometry) = mala_step(u, partial(target, geometry=geometry), _GEWEKE_EPS, rng)
     return dict(loadings=lam, spline_coefficients=coef, latent_locations=u,
                 residual_variances=sig)
 

@@ -541,7 +541,8 @@ class TestExitCodes:
         ("postprocess", lambda manifest: {}),
         ("generate", lambda manifest: {**manifest,
                                        "config": {**manifest["config"], "unknown": 1}}),
-    ], ids=["empty_manifest", "unknown_config_field"])
+        ("postprocess", lambda manifest: {**manifest, "mala_acceptance_rate": "abc"}),
+    ], ids=["empty_manifest", "unknown_config_field", "string_acceptance_rate"])
     def test_malformed_manifest_is_input_error(self, workspace, tmp_path, capsys, command,
                                                corrupt):
         import shutil

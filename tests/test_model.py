@@ -171,6 +171,18 @@ class TestState:
                                      for h, k in enumerate(asg.zero_based)])
         assert np.array_equal(eta(coef, u, asg), reference)
 
+    def test_design_clamp_columns_give_basis_bits_on_random_shapes(self):
+        # the sampler passes eta_from_bases the [:, 1:] view of one design per
+        # column, which the spline block also reads; the product keeps the bits
+        # of the product on the basis itself
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n, n_pieces, k = rng.integers(2, 3000), rng.integers(1, 40), rng.integers(1, 4)
+            u_col = rng.uniform(size=(n, k))[:, rng.integers(k)]
+            coef = rng.standard_normal(n_pieces)
+            assert np.array_equal(spline_design(u_col, n_pieces)[:, 1:] @ coef,
+                                  spline_basis(u_col, n_pieces) @ coef)
+
     def test_rejects_out_of_range_locations(self):
         st = make_state()
         bad = st["latent_locations"].copy()

@@ -121,6 +121,25 @@ class TestChainIO:
         with pytest.raises(IncompleteRunError, match=path.name):
             load_chain(tmp_path / "run")
 
+    @pytest.mark.parametrize("key, value", [
+        ("mala_acceptance_rate", "abc"),
+        ("mala_acceptance_rate", 1.5),
+        ("block_seconds", "x"),
+        ("block_seconds", [0.1, 0.2, 0.3, 0.4]),
+        ("block_seconds", [0.1, 0.2, -0.3, 0.4, 0.5]),
+        ("assignment", [1.7]),
+        ("assignment", [True]),
+    ], ids=["string_acceptance_rate", "acceptance_rate_above_1", "string_block_seconds",
+            "four_block_seconds", "negative_block_seconds", "fractional_assignment",
+            "bool_assignment"])
+    def test_malformed_manifest_entry_names_file_and_key(self, tmp_path, key, value):
+        chain, _ = make_chain(seed=8)
+        save_chain(tmp_path / "run", chain)
+        path = tmp_path / "run" / "manifest.json"
+        save_json(path, {**load_json(path), key: value})
+        with pytest.raises(IncompleteRunError, match=f"manifest.json holds a {key} "):
+            load_chain(tmp_path / "run")
+
     def test_sample_count_must_match_manifest(self, tmp_path):
         chain, _ = make_chain(seed=5)
         save_chain(tmp_path / "run", chain)

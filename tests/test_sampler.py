@@ -1,4 +1,4 @@
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -15,12 +15,15 @@ from nifa.model import (
     eta,
     log_likelihood,
     spline_basis,
+    spline_design,
+    spline_piece,
 )
 from nifa.pretrain import AnchorSet
 import nifa.sampler
 from nifa.sampler import (
     CHAIN_ARRAYS,
     SPLINE_GIBBS_SWEEPS,
+    LatentGeometry,
     _truncated_standard_normal,
     initial_state,
     loadings_posterior,
@@ -85,6 +88,48 @@ def reference_spline_draw(coefficients, prec, lin, rng):
     return out, lowers
 
 
+def reference_spline_posterior(loadings, residual_variances, latent_locations, assignment,
+                               data, hp):
+    """spline_posterior as written on the latent locations themselves: the
+    designs and their cross products rebuilt from u on every call."""
+    bases = [spline_design(u_col, hp.L) for u_col in latent_locations.T]
+    cross = np.array([[ba.T @ bb for bb in bases] for ba in bases])
+    k0 = assignment.zero_based
+    weighted = loadings * (1.0 / residual_variances)[:, None]
+    cross_lam = weighted.T @ loadings
+    size = k0.size * (hp.L + 1)
+    blocks = cross_lam[:, :, None, None] * cross[k0[:, None], k0]
+    prec = np.eye(size) / hp.sigma_a_sq + blocks.transpose(0, 2, 1, 3).reshape(size, size)
+    lin = np.concatenate([bases[k].T @ (data.values @ weighted[:, a])
+                          for a, k in enumerate(k0)])
+    return prec, lin
+
+
+def reference_u_log_target(u, coefficients, loadings, residual_variances, assignment, data, nu):
+    """u_log_target as written on u itself: the clamp bases, the slope rows
+    and the uniform penalty recomputed from u on every call. Returns (value,
+    gradient, factors)."""
+    n_pieces = coefficients.shape[0] - 1
+    k0 = assignment.zero_based
+    factors = np.column_stack([coefficients[0, h] + spline_basis(u[:, k], n_pieces)
+                               @ coefficients[1:, h] for h, k in enumerate(k0)])
+    resid = data.values - factors @ loadings.T
+    inv_sig = 1.0 / residual_variances
+    value = -0.5 * float(np.sum(resid**2 * inv_sig))
+    weighted = resid * inv_sig
+    slope_rows = 1 + spline_piece(u, n_pieces)
+    grad = np.zeros_like(u)
+    for h, k in enumerate(k0):
+        pull = weighted @ loadings[:, h]
+        grad[:, k] += pull * coefficients[slope_rows[:, k], h]
+    if nu > 0:
+        for kk, u_col in enumerate(u.T):
+            penalty, penalty_grad = uniform_penalty(u_col)
+            value -= nu * penalty
+            grad[:, kk] -= nu * penalty_grad
+    return value, grad, factors
+
+
 def make_state(loadings, coefficients, latent_locations, residual_variances,
                local_scales=None, global_scale=1.0, assignment=None):
     """One draw as the arrays the sampler blocks take, plus its assignment."""
@@ -129,16 +174,20 @@ def prior_variances(st):
     return st["global_scale"] * st["local_scales"]
 
 
+def geometry(st):
+    """The LatentGeometry of st's latent locations."""
+    return LatentGeometry(st["latent_locations"], st["spline_coefficients"].shape[0] - 1)
+
+
 def u_target(st, data, nu):
     """The latent-location log target of st as a function of u alone."""
     return partial(u_log_target, coefficients=st["spline_coefficients"],
                    loadings=st["loadings"], residual_variances=st["residual_variances"],
-                   assignment=st["assignment"], data=data, nu=nu)
+                   assignment=st["assignment"], data=data, nu=nu, geometry=geometry(st))
 
 
 def spline_args(st):
-    return (st["loadings"], st["residual_variances"], st["latent_locations"],
-            st["assignment"])
+    return (st["loadings"], st["residual_variances"], geometry(st), st["assignment"])
 
 
 def loadings_row_moments(j, *args):
@@ -189,15 +238,29 @@ class TestUniformPenalty:
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+U_COLUMNS = [
+    np.random.default_rng(40).uniform(size=400),
+    np.round(np.random.default_rng(41).uniform(size=60), 1),  # ties, 0 and 1
+    np.random.default_rng(42).uniform(size=(50, 3))[:, 1],    # strided column
+]
+
+
+def located_problem(u_col, seed=0):
+    """A K=2, H=3 state whose latent locations are u_col and u_col reversed,
+    its data, and a second (coefficients, loadings, variances) for the same u."""
+    u = np.column_stack([u_col, u_col[::-1]])
+    st = dict(small_state(n=u.shape[0], p=5, h=3, seed=seed), latent_locations=u)
+    noise = np.random.default_rng(seed + 1).standard_normal((u.shape[0], 5))
+    data = DataMatrix(model_mean(st) + 0.3 * noise)
+    other = small_state(n=u.shape[0], p=5, h=3, seed=seed + 2)
+    return st, data, dict(other, latent_locations=u)
+
+
 class TestSameDraws:
     """The rewritten hot loop against the test-local references above: equal
     arrays, and generators left in equal states."""
 
-    @pytest.mark.parametrize("u", [
-        np.random.default_rng(40).uniform(size=400),
-        np.round(np.random.default_rng(41).uniform(size=60), 1),  # ties, 0 and 1
-        np.random.default_rng(42).uniform(size=(50, 3))[:, 1],    # strided column
-    ])
+    @pytest.mark.parametrize("u", U_COLUMNS)
     def test_uniform_penalty_equals_reference_pair(self, u):
         value, grad = uniform_penalty(u)
         assert value == reference_uniform_penalty(u)
@@ -224,6 +287,35 @@ class TestSameDraws:
         # every draw also takes intercepts; the slopes reach the branches named
         assert min(lowers) < 6.0
         assert (max(lowers) >= 6.0) == far_tail
+
+    @pytest.mark.parametrize("u_col", U_COLUMNS)
+    def test_spline_posterior_equals_reference_from_u(self, u_col):
+        st, data, other = located_problem(u_col)
+        hp = Hyperparameters(L=4)
+        geo = geometry(st)
+        for state in (st, other):  # one geometry, read again after Lambda and sigma^2 change
+            args = (state["loadings"], state["residual_variances"])
+            got = spline_posterior(*args, geo, st["assignment"], data, hp)
+            expected = reference_spline_posterior(*args, st["latent_locations"], st["assignment"],
+                                                  data, hp)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    @pytest.mark.parametrize("nu", [0.0, 50.0])
+    @pytest.mark.parametrize("u_col", U_COLUMNS)
+    def test_u_log_target_equals_reference_from_u(self, u_col, nu):
+        st, data, other = located_problem(u_col)
+        u, geo = st["latent_locations"], geometry(st)
+        # the geometry served twice at its own point, then a new one built from a copy of u
+        for state, at in ((st, u), (other, u), (other, u.copy())):
+            target = partial(u_target(state, data, nu), geometry=geo)
+            value, grad, (got_factors, got_geo) = target(at)
+            expected = reference_u_log_target(
+                at, state["spline_coefficients"], state["loadings"],
+                state["residual_variances"], state["assignment"], data, nu)
+            assert value == expected[0]
+            assert np.array_equal(grad, expected[1])
+            assert np.array_equal(got_factors, expected[2])
+            assert got_geo.u is at and (got_geo is geo) == (at is u)
 
 
 class TestLoadingsBlock:
@@ -495,7 +587,7 @@ class TestULogTarget:
         st, data = state_data_pair(seed=19)
         target = u_target(st, data, nu=50.0)
         u = st["latent_locations"]
-        assert np.array_equal(target(u)[2], factors(st))
+        assert np.array_equal(target(u)[2][0], factors(st))
         outside = u.copy()
         outside[0, 0] = 1.5
         value, grad, at_outside = target(outside)
@@ -524,7 +616,9 @@ class TestMala:
         # the exit taken: target scored at u only, or at u and the proposal
         assert (len(scored), acc) == (n_scored, accepted)
         assert np.array_equal(u_new, scored[1] if accepted else u)
-        assert np.array_equal(at_new, eta(st["spline_coefficients"], u_new, st["assignment"]))
+        factors_new, geometry_new = at_new
+        assert np.array_equal(factors_new, eta(st["spline_coefficients"], u_new, st["assignment"]))
+        assert geometry_new.u is u_new
 
     def test_out_of_bounds_rejected(self):
         st, data = state_data_pair(seed=21)
@@ -700,7 +794,8 @@ class TestChain:
     def test_log_joint_matches_manual_formula(self):
         st, data = state_data_pair(seed=30)
         hp = Hyperparameters(nu=10.0, sigma_a_sq=1.5, a_sigma=3.0, b_sigma=2.0, L=4)
-        got = log_joint(**st, data=data, hp=hp, n_anchor=1)
+        arrays = {name: v for name, v in st.items() if name != "latent_locations"}
+        got = log_joint(**arrays, geometry=geometry(st), data=data, hp=hp, n_anchor=1)
         expected = log_likelihood(model_mean(st), st["residual_variances"], data)
         pv = prior_variances(st)
         expected -= 0.5 * np.sum(np.log(pv) + st["loadings"]**2 / pv)
@@ -742,13 +837,72 @@ class TestChain:
                 assert np.array_equal(seen["sample_loadings"][hp.burn_in + m + 1], expected)
                 assert np.array_equal(seen["sample_residual_variances"][m + 1], expected)
 
+    def test_carried_geometry_equals_fresh_computation_at_every_sweep(self, monkeypatch):
+        data, anchor = self.make_problem(seed=8)
+        hp = Hyperparameters(iterations=60, burn_in=20, thin=1, seed=4, L=5)
+        asg = FactorAssignment(np.array([1]))
+        spline_calls, sweeps, cross_builds, penalty_builds = [], [], [], []
+        original_posterior, original_step = spline_posterior, mala_step
+
+        def recording_posterior(*args):
+            result = original_posterior(*args)
+            spline_calls.append((args, result))
+            return result
+
+        def recording_step(u, target, epsilon, rng):
+            scored = []
+
+            def scoring(v):
+                out = target(v)
+                scored.append((v, out[0]))
+                return out
+
+            result = original_step(u, scoring, epsilon, rng)
+            sweeps.append(dict(u=u.copy(), target=target, scored=scored, accepted=result[1]))
+            return result
+
+        def counting_cross(geo):
+            cross_builds.append(geo.u)
+            return cross_func(geo)
+
+        def counting_penalty(u_col):
+            penalty_builds.append(u_col)
+            return uniform_penalty(u_col)
+
+        cross_func = LatentGeometry.cross.func
+        counted = cached_property(counting_cross)
+        counted.__set_name__(LatentGeometry, "cross")
+        monkeypatch.setattr(LatentGeometry, "cross", counted)
+        monkeypatch.setattr(nifa.sampler, "uniform_penalty", counting_penalty)
+        monkeypatch.setattr(nifa.sampler, "spline_posterior", recording_posterior)
+        monkeypatch.setattr(nifa.sampler, "mala_step", recording_step)
+        chain = run_chain(data, anchor, hp, asg)
+        assert 0 < chain.diagnostics.mala_acceptance_rate < 1
+        assert len(spline_calls) == len(sweeps) == hp.iterations
+        for (args, used), sweep in zip(spline_calls, sweeps):
+            # the spline block and the target's first call both see this sweep's u
+            fresh = reference_spline_posterior(*args[:2], sweep["u"], *args[3:])
+            assert all(np.array_equal(a, b) for a, b in zip(used, fresh))
+            kw = sweep["target"].keywords
+            v, value = sweep["scored"][0]
+            assert np.array_equal(v, sweep["u"])
+            assert value == reference_u_log_target(
+                sweep["u"], kw["coefficients"], kw["loadings"], kw["residual_variances"],
+                asg, data, hp.nu)[0]
+        # the cross products: the start, then each accepted point a later sweep reads
+        assert len(cross_builds) == 1 + sum(s["accepted"] for s in sweeps[:-1])
+        # the penalty: once per column of each distinct point the target scores
+        scored = {id(v): v for s in sweeps for v, _ in s["scored"]}
+        assert len(penalty_builds) == asg.n_locations * len(scored)
+
     def test_chain_trace_matches_samples(self):
         data, anchor = self.make_problem(seed=5)
         hp = Hyperparameters(iterations=40, burn_in=20, thin=10, seed=11, L=5)
         chain = run_chain(data, anchor, hp, FactorAssignment(np.array([1])))
         for m, lp in enumerate(chain.diagnostics.log_posterior_trace):
-            draw = [getattr(chain, name)[m] for name in CHAIN_ARRAYS]
-            assert log_joint(*draw, chain.assignment, data, hp, n_anchor=1) == lp
+            lam, coef, u, *rest = (getattr(chain, name)[m] for name in CHAIN_ARRAYS)
+            assert log_joint(lam, coef, LatentGeometry(u, hp.L), *rest, chain.assignment, data, hp,
+                             n_anchor=1) == lp
 
     @pytest.mark.parametrize("block, nth_call, poison", [
         ("sample_loadings", 3, lambda lam: lam * np.nan),
