@@ -29,6 +29,7 @@ from .sampler import (
     initial_state,
     log_joint,
     run_chain,
+    sweep,
 )
 from .postprocess import (
     AlignmentReport,
@@ -99,5 +100,6 @@ __all__ = [
     "sliced_wasserstein_details",
     "spline_basis",
     "summarize",
+    "sweep",
     "wasserstein2_1d",
 ]

@@ -8,7 +8,9 @@ the intercepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -19,6 +21,30 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """A value lies outside its mathematical domain."""
+
+
+def is_finite_number(value) -> bool:
+    """Whether a value is a finite Python or numpy int or float (a bool is not one)."""
+    try:
+        return (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def check_config_fields(config) -> None:
+    """Raise ValueError unless each field of a config dataclass holds its
+    annotated kind: an int field a Python or numpy integer, a float field a
+    finite number (ints included), a ``float | None`` field also None. A bool
+    is neither."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        value, kinds = getattr(config, f.name), get_args(hints[f.name]) or (hints[f.name],)
+        if int in kinds:
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        elif not (is_finite_number(value) or (value is None and type(None) in kinds)):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -214,6 +240,7 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
+        check_config_fields(self)
         if self.nu < 0:
             raise ValueError("nu must be non-negative")
         if min(self.sigma_a_sq, self.a_sigma, self.b_sigma, self.mala_step) <= 0:

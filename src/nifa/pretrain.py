@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .model import DataMatrix, ShapeError, rank_transform, spline_design
+from .model import DataMatrix, ShapeError, check_config_fields, rank_transform, spline_design
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -30,6 +30,7 @@ class DiffusionConfig:
     dimension_offset: int = 0
 
     def __post_init__(self):
+        check_config_fields(self)
         if self.epsilon_dm is not None and self.epsilon_dm <= 0:
             raise ValueError("epsilon_dm must be positive")
         if self.epsilon_local is not None and self.epsilon_local <= 0:

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .model import FactorAssignment, Hyperparameters
+from .model import FactorAssignment, Hyperparameters, is_finite_number
 from .sampler import CHAIN_ARRAYS, ChainDiagnostics, PosteriorChain
 from .pretrain import AnchorSet
 
@@ -55,15 +54,6 @@ def _require_keys(record, keys, path) -> None:
     missing = [k for k in keys if k not in record]
     if missing:
         raise IncompleteRunError(f"{path} lacks {', '.join(missing)}")
-
-
-def _is_number(value) -> bool:
-    """Whether a JSON value is a finite number (a bool is not one)."""
-    try:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _require_form(ok: bool, path, key: str, form: str) -> None:
@@ -146,20 +136,20 @@ def load_chain(run_dir) -> PosteriorChain:
                              "block_seconds", "config"), manifest_path)
     rate, seconds, entries = (manifest[key] for key in
                               ("mala_acceptance_rate", "block_seconds", "assignment"))
-    _require_form(_is_number(rate) and 0 <= rate <= 1, manifest_path, "mala_acceptance_rate",
+    _require_form(is_finite_number(rate) and 0 <= rate <= 1, manifest_path, "mala_acceptance_rate",
                   "a number in [0, 1]")
     _require_form(isinstance(seconds, list) and len(seconds) == 5
-                  and all(_is_number(s) and s >= 0 for s in seconds), manifest_path,
+                  and all(is_finite_number(s) and s >= 0 for s in seconds), manifest_path,
                   "block_seconds", "a list of five finite non-negative numbers")
     _require_form(isinstance(entries, list)
                   and all(isinstance(k, int) and not isinstance(k, bool) for k in entries),
                   manifest_path, "assignment", "a list of integers")
-    # a config that is no object, a field of an unknown name or a wrong type, or an
-    # assignment entry beyond the integer range
+    # a config that is no object, a field of an unknown name, a wrong kind or out of
+    # range, or an assignment entry beyond the integer range or not surjective
     try:
         config = Hyperparameters(**manifest["config"])
         assignment = FactorAssignment(np.asarray(entries, dtype=int))
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise IncompleteRunError(f"{manifest_path} holds a config or assignment of the "
                                  f"wrong form: {exc}") from None
     try:

@@ -1,6 +1,6 @@
 """MALA-within-Gibbs posterior sampling.
 
-Block order per sweep: factor loadings (conjugate Gaussian rows), residual
+Blocks of one ``sweep``: factor loadings (conjugate Gaussian rows), residual
 variances (conjugate inverse-Gamma, anchor features held fixed), spline
 coefficients (joint Gaussian truncated to non-negative slopes), latent
 locations (Langevin-proposal Metropolis-Hastings under the uniform-constraint
@@ -36,6 +36,7 @@ from .pretrain import AnchorSet
 
 MALA_TARGET_ACCEPTANCE = 0.574
 SPLINE_GIBBS_SWEEPS = 2
+SIGMA_HOLD_SWEEPS = 1000  # residual variances stay at their start this many sweeps at most
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,7 @@ def sample_spline_coefficients(
     intercept takes one ``rng.standard_normal()``. A truncated slope takes one
     ``rng.random()`` for an inverse-CDF draw, or one
     ``rng.standard_exponential()`` when zero lies 6 or more conditional
-    standard deviations above its mean. Around this block, a run_chain sweep
+    standard deviations above its mean. Around this block, a sweep
     evaluates the factors g(u) once, in the latent-location update. The
     block reads the designs of u from ``geometry`` (see spline_posterior).
     """
@@ -429,39 +430,26 @@ def sample_shrinkage(
     return gamma_new, tau_new
 
 
-def log_joint(
-    loadings: np.ndarray,
-    spline_coefficients: np.ndarray,
-    geometry: LatentGeometry,
-    residual_variances: np.ndarray,
-    local_scales: np.ndarray,
-    global_scale: float,
-    assignment: FactorAssignment,
-    data: DataMatrix,
-    hp: Hyperparameters,
-    n_anchor: int = 0,
-    factors: np.ndarray | None = None,
-) -> float:
-    """Joint log posterior density up to an additive constant, at the latent
-    locations ``geometry.u``.
+def log_joint(state: dict, data: DataMatrix, hp: Hyperparameters, n_anchor: int = 0) -> float:
+    """Joint log posterior density up to an additive constant at a sweep state
+    (see initial_state).
 
-    The uniform penalty is read from ``geometry``, so a point's penalty is
-    computed once however often it is scored. ``factors`` may pass
-    eta(spline_coefficients, geometry.u, assignment) when the caller already
-    holds it.
+    The likelihood reads the state's factors, and the uniform penalty its
+    LatentGeometry, so a point's penalty is computed once however often it is
+    scored.
     """
-    if factors is None:
-        factors = eta_from_bases(spline_coefficients, geometry.bases, assignment)
-    value = log_likelihood(factors @ loadings.T, residual_variances, data)
+    loadings, coefficients, _, residual_variances, local_scales, global_scale = (
+        state[name] for name in CHAIN_ARRAYS)
+    value = log_likelihood(state["factors"] @ loadings.T, residual_variances, data)
     lam2 = loadings**2
     prior_var = global_scale * local_scales
     value -= 0.5 * float(np.sum(np.log(prior_var) + lam2 / prior_var))
     sig = residual_variances[n_anchor:]
     value += float(np.sum(-(hp.a_sigma + 1) * np.log(sig) - hp.b_sigma / sig))
-    for c in spline_coefficients.T:
+    for c in coefficients.T:
         value -= 0.5 * (float(c[0]) ** 2 + float(np.sum(c[1:] ** 2))) / hp.sigma_a_sq
     if hp.nu > 0:  # at nu = 0 the penalty term adds exactly 0
-        for penalty, _ in geometry.penalties:
+        for penalty, _ in state["geometry"].penalties:
             value -= hp.nu * penalty
     # shrinkage scales: half-Cauchy on the square roots, so the density of
     # the variance multipliers is proportional to s^(-1/2) / (1 + s)
@@ -476,8 +464,9 @@ def initial_state(
     hp: Hyperparameters,
     assignment: FactorAssignment,
 ) -> dict:
-    """Deterministic data-driven starting point, as a dict of the arrays named
-    in ``CHAIN_ARRAYS``.
+    """Deterministic data-driven starting point, as the state dict ``sweep``
+    takes and returns: the arrays named in ``CHAIN_ARRAYS``, then ``factors``
+    (eta at u), ``geometry`` (of u), ``log_step`` and the sweep index ``t``.
 
     Latent locations are the empirical ranks of the anchor columns, splines
     start as the identity map, loadings come from least squares of the data
@@ -493,7 +482,10 @@ def initial_state(
     lam = np.linalg.lstsq(u[:, assignment.zero_based], data.values, rcond=None)[0].T
     sigma2 = np.full(p, 0.01)
     sigma2[:k] = anchor.residual_variances
-    return dict(zip(CHAIN_ARRAYS, (lam, coefficients, u, sigma2, np.ones((p, h)), 1.0)))
+    geometry = LatentGeometry(u, hp.L)
+    return dict(zip(CHAIN_ARRAYS, (lam, coefficients, u, sigma2, np.ones((p, h)), 1.0)),
+                factors=eta_from_bases(coefficients, geometry.bases, assignment),
+                geometry=geometry, log_step=np.log(hp.mala_step), t=0)
 
 
 _POSITIVE = ("residual_variances", "local_scales", "global_scale")
@@ -513,6 +505,58 @@ def _require_valid(t: int, **arrays) -> None:
             raise RuntimeError(f"{label} outside [0,1] at sweep {t}")
 
 
+def sweep(
+    state: dict,
+    data: DataMatrix,
+    anchor: AnchorSet,
+    hp: Hyperparameters,
+    assignment: FactorAssignment,
+    rng: np.random.Generator,
+) -> tuple:
+    """One sweep from ``state`` (see initial_state): the five blocks in the
+    module's order, each output checked as drawn (RuntimeError names sweep state["t"]).
+    The residual variances hold their start for t < min(SIGMA_HOLD_SWEEPS,
+    burn_in). In burn-in the log step moves by 0.05 (accepted -
+    MALA_TARGET_ACCEPTANCE); after it, the step is frozen. The kept point's
+    factors and LatentGeometry, handed back by mala_step, serve the next sweep.
+    Returns (the new state, the five block seconds, whether u's move was accepted).
+    """
+    t, log_step = state["t"], state["log_step"]
+    lam, coef, u, sigma2, gamma, tau = (state[name] for name in CHAIN_ARRAYS)
+    factors, geometry = state["factors"], state["geometry"]
+    clock = [time.perf_counter()]
+    lam = sample_loadings(factors, sigma2, tau * gamma, data, rng)
+    _require_valid(t, loadings=lam)
+    clock.append(time.perf_counter())
+
+    if t >= min(SIGMA_HOLD_SWEEPS, hp.burn_in):
+        sigma2 = sample_residual_variances(
+            factors, lam, data, hp, rng, anchor_variances=anchor.residual_variances
+        )
+        _require_valid(t, residual_variances=sigma2)
+    clock.append(time.perf_counter())
+
+    coef = sample_spline_coefficients(coef, lam, sigma2, geometry, assignment, data, hp, rng)
+    _require_valid(t, spline_coefficients=coef)
+    clock.append(time.perf_counter())
+
+    target = partial(u_log_target, coefficients=coef, loadings=lam, residual_variances=sigma2,
+                     assignment=assignment, data=data, nu=hp.nu, geometry=geometry)
+    u, accepted, (factors, geometry) = mala_step(u, target, float(np.exp(log_step)), rng)
+    _require_valid(t, latent_locations=u)
+    if t < hp.burn_in:
+        log_step += 0.05 * ((1.0 if accepted else 0.0) - MALA_TARGET_ACCEPTANCE)
+    clock.append(time.perf_counter())
+
+    gamma, tau = sample_shrinkage(lam, gamma, tau, rng)
+    _require_valid(t, local_scales=gamma, global_scale=tau)
+    clock.append(time.perf_counter())
+
+    state = dict(zip(CHAIN_ARRAYS, (lam, coef, u, sigma2, gamma, tau)), factors=factors,
+                 geometry=geometry, log_step=log_step, t=t + 1)
+    return state, np.diff(clock), accepted
+
+
 def run_chain(
     data: DataMatrix,
     anchor: AnchorSet,
@@ -522,8 +566,8 @@ def run_chain(
     """Run the full Gibbs sampler and return the retained posterior chain.
 
     ``data`` must already carry the anchor columns as its first K features.
-    Each block's output is checked as it is drawn; RuntimeError names the
-    sweep where a state array first turns non-finite or leaves its domain.
+    RuntimeError names the sweep where a state array first turns non-finite
+    or leaves its domain.
     """
     k = anchor.n_anchors
     if assignment.n_locations != k:
@@ -535,70 +579,26 @@ def run_chain(
 
     rng = np.random.default_rng(hp.seed)
     state = initial_state(data, anchor, hp, assignment)
-    lam, coef, u, sigma2, gamma, tau = state.values()
-    log_eps = np.log(hp.mala_step)
-    fixed_sigma_until = min(1000, hp.burn_in)
-
     n_draws = len(range(hp.burn_in, hp.iterations, hp.thin))
-    draws = {name: np.empty((n_draws, *np.shape(a))) for name, a in state.items()}
+    draws = {name: np.empty((n_draws, *np.shape(state[name]))) for name in CHAIN_ARRAYS}
     trace = np.empty(n_draws)
     block_seconds = np.zeros(5)
     accept_count = 0
-    post_burn_steps = 0
-
-    # g(u) is computed once per sweep, and what depends on u alone once per
-    # distinct u: mala_step hands back the factors and the LatentGeometry its
-    # target computed at the point kept, and they serve the next sweep
-    geometry = LatentGeometry(u, hp.L)
-    factors = eta_from_bases(coef, geometry.bases, assignment)
     for t in range(hp.iterations):
-        t0 = time.perf_counter()
-        lam = sample_loadings(factors, sigma2, tau * gamma, data, rng)
-        _require_valid(t, loadings=lam)
-        t1 = time.perf_counter()
-
-        if t >= fixed_sigma_until:
-            sigma2 = sample_residual_variances(
-                factors, lam, data, hp, rng, anchor_variances=anchor.residual_variances
-            )
-            _require_valid(t, residual_variances=sigma2)
-        t2 = time.perf_counter()
-
-        coef = sample_spline_coefficients(coef, lam, sigma2, geometry, assignment, data, hp,
-                                          rng)
-        _require_valid(t, spline_coefficients=coef)
-        t3 = time.perf_counter()
-
-        epsilon = float(np.exp(log_eps))
-        target = partial(u_log_target, coefficients=coef, loadings=lam,
-                         residual_variances=sigma2, assignment=assignment, data=data, nu=hp.nu,
-                         geometry=geometry)
-        u, accepted, (factors, geometry) = mala_step(u, target, epsilon, rng)
-        _require_valid(t, latent_locations=u)
-        if t < hp.burn_in:
-            log_eps += 0.05 * ((1.0 if accepted else 0.0) - MALA_TARGET_ACCEPTANCE)
-        else:
-            post_burn_steps += 1
-            accept_count += int(accepted)
-        t4 = time.perf_counter()
-
-        gamma, tau = sample_shrinkage(lam, gamma, tau, rng)
-        _require_valid(t, local_scales=gamma, global_scale=tau)
-        t5 = time.perf_counter()
-
-        block_seconds += (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)
-
-        if t >= hp.burn_in and (t - hp.burn_in) % hp.thin == 0:
-            m = (t - hp.burn_in) // hp.thin
-            trace[m] = log_joint(lam, coef, geometry, sigma2, gamma, tau, assignment, data, hp,
-                                 n_anchor=k, factors=factors)
-            _require_valid(t, log_posterior=trace[m])
-            for name, arr in zip(CHAIN_ARRAYS, (lam, coef, u, sigma2, gamma, tau)):
-                draws[name][m] = arr
+        state, seconds, accepted = sweep(state, data, anchor, hp, assignment, rng)
+        block_seconds += seconds
+        if t >= hp.burn_in:
+            accept_count += accepted
+            if (t - hp.burn_in) % hp.thin == 0:
+                m = (t - hp.burn_in) // hp.thin
+                trace[m] = log_joint(state, data, hp, n_anchor=k)
+                _require_valid(t, log_posterior=trace[m])
+                for name in CHAIN_ARRAYS:
+                    draws[name][m] = state[name]
 
     diagnostics = ChainDiagnostics(
         log_posterior_trace=trace,
-        mala_acceptance_rate=(accept_count / post_burn_steps) if post_burn_steps else 0.0,
+        mala_acceptance_rate=accept_count / (hp.iterations - hp.burn_in),
         block_seconds=block_seconds,
     )
     return PosteriorChain(**draws, assignment=assignment, diagnostics=diagnostics, config=hp,

@@ -508,6 +508,18 @@ class TestExitCodes:
         assert "--chains" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_nan_mala_step_in_fit_exits_2(self, workspace, tmp_path, capsys):
+        assert run("fit", "--input", workspace / "data.csv", "--anchor-dir",
+                   workspace / "anchors", "--out", tmp_path / "x", "--pieces", "8",
+                   "--mala-step", "nan") == 2
+        assert "mala_step must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_nan_bandwidth_in_pretrain_exits_2(self, workspace, tmp_path, capsys):
+        assert run("pretrain", "--input", workspace / "data.csv", "--out-dir", tmp_path / "a",
+                   "--epsilon-dm", "nan") == 2
+        assert "epsilon_dm must be a finite number" in capsys.readouterr().err
+
     def test_disconnected_kernel_graph_in_pretrain_exits_1(self, tmp_path, capsys):
         from nifa.runio import save_matrix
 

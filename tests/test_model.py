@@ -231,3 +231,18 @@ class TestHyperparameters:
         with pytest.raises(ValueError):
             Hyperparameters(nu=-1.0)
         Hyperparameters(nu=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("nu", np.nan), ("sigma_a_sq", np.inf), ("a_sigma", -np.inf), ("b_sigma", True),
+        ("L", 20.5), ("mala_step", np.nan), ("iterations", 10_000.0), ("burn_in", True),
+        ("thin", np.float64(10)), ("seed", 1.5),
+    ])
+    def test_rejects_non_finite_bool_and_non_integral_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Hyperparameters(**{field: value})
+
+    def test_accepts_numpy_integers_and_ints_in_float_fields(self):
+        hp = Hyperparameters(nu=0, sigma_a_sq=2, a_sigma=np.int64(3), b_sigma=np.float32(1.5),
+                             L=np.int64(8), mala_step=1, iterations=np.int32(20),
+                             burn_in=np.uint8(10), thin=np.int16(2), seed=np.int64(4))
+        assert hp.L == 8 and hp.iterations == 20 and hp.nu == 0

@@ -311,6 +311,19 @@ class TestPipeline:
             with pytest.raises(ValueError, match="variances"):
                 AnchorSet(np.ones((5, 1)), np.array([bad]))
 
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon_dm", np.nan), ("Q", 2.5), ("epsilon_local", np.inf), ("delta", np.nan),
+        ("dimension_offset", True),
+    ])
+    def test_config_rejects_non_finite_bool_and_non_integral_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DiffusionConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers_and_ints_in_float_fields(self):
+        cfg = DiffusionConfig(epsilon_dm=1, Q=np.int64(3), epsilon_local=np.float32(0.5),
+                              delta=np.float64(0.25), dimension_offset=np.int32(1))
+        assert cfg.Q == 3 and cfg.epsilon_dm == 1
+
     def test_swiss_roll_recovers_generator(self):
         # the roll is a long thin strip; the kernel bandwidth must stay below
         # the gap between windings (2*pi) or the embedding short-circuits them

@@ -109,8 +109,11 @@ class TestChainIO:
     @pytest.mark.parametrize("record, key, field, value", [
         ("manifest.json", "config", "nu", "abc"),
         ("manifest.json", "config", "L", None),
+        ("manifest.json", "config", "L", 20.5),
+        ("manifest.json", "config", "nu", float("nan")),
         ("anchor/anchor_meta.json", None, "residual_variances", {"x": 1}),
-    ], ids=["string_nu", "null_pieces", "object_anchor_variances"])
+    ], ids=["string_nu", "null_pieces", "fractional_pieces", "nan_nu",
+            "object_anchor_variances"])
     def test_wrongly_typed_field_names_its_record(self, tmp_path, record, key, field, value):
         chain, _ = make_chain(seed=8)
         save_chain(tmp_path / "run", chain)

@@ -22,6 +22,8 @@ from nifa.pretrain import AnchorSet
 import nifa.sampler
 from nifa.sampler import (
     CHAIN_ARRAYS,
+    MALA_TARGET_ACCEPTANCE,
+    SIGMA_HOLD_SWEEPS,
     SPLINE_GIBBS_SWEEPS,
     LatentGeometry,
     _truncated_standard_normal,
@@ -36,6 +38,7 @@ from nifa.sampler import (
     sample_shrinkage,
     sample_spline_coefficients,
     spline_posterior,
+    sweep,
     u_log_target,
     uniform_penalty,
 )
@@ -177,6 +180,11 @@ def prior_variances(st):
 def geometry(st):
     """The LatentGeometry of st's latent locations."""
     return LatentGeometry(st["latent_locations"], st["spline_coefficients"].shape[0] - 1)
+
+
+def with_carried(st):
+    """st with the factors and LatentGeometry that a sweep state carries."""
+    return {**st, "factors": factors(st), "geometry": geometry(st)}
 
 
 def u_target(st, data, nu):
@@ -777,8 +785,13 @@ class TestChain:
     def test_initial_state_structure(self):
         data, anchor = self.make_problem(seed=4)
         hp = Hyperparameters(L=6)
-        st = initial_state(data, anchor, hp, FactorAssignment(np.array([1])))
-        assert tuple(st) == CHAIN_ARRAYS
+        asg = FactorAssignment(np.array([1]))
+        st = initial_state(data, anchor, hp, asg)
+        assert tuple(st) == (*CHAIN_ARRAYS, "factors", "geometry", "log_step", "t")
+        assert st["t"] == 0 and st["log_step"] == np.log(hp.mala_step)
+        assert st["geometry"].u is st["latent_locations"]
+        assert np.array_equal(st["factors"], eta(st["spline_coefficients"],
+                                                 st["latent_locations"], asg))
         # latent locations are the anchor-column ranks over N
         u = st["latent_locations"]
         order = np.argsort(anchor.coordinates[:, 0], kind="stable")
@@ -794,8 +807,7 @@ class TestChain:
     def test_log_joint_matches_manual_formula(self):
         st, data = state_data_pair(seed=30)
         hp = Hyperparameters(nu=10.0, sigma_a_sq=1.5, a_sigma=3.0, b_sigma=2.0, L=4)
-        arrays = {name: v for name, v in st.items() if name != "latent_locations"}
-        got = log_joint(**arrays, geometry=geometry(st), data=data, hp=hp, n_anchor=1)
+        got = log_joint(with_carried(st), data, hp, n_anchor=1)
         expected = log_likelihood(model_mean(st), st["residual_variances"], data)
         pv = prior_variances(st)
         expected -= 0.5 * np.sum(np.log(pv) + st["loadings"]**2 / pv)
@@ -810,99 +822,120 @@ class TestChain:
         expected -= 0.5 * np.log(tau) + np.log1p(tau)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_carried_factors_equal_eta_at_every_draw(self, monkeypatch):
+    def sweep_states(self, data, anchor, hp, asg):
+        """initial_state and the state after each of hp.iterations sweeps, and
+        each sweep's accept flag, on the generator run_chain uses."""
+        rng = np.random.default_rng(hp.seed)
+        states, flags = [initial_state(data, anchor, hp, asg)], []
+        for _ in range(hp.iterations):
+            state, _, accepted = sweep(states[-1], data, anchor, hp, asg, rng)
+            states.append(state)
+            flags.append(accepted)
+        return states, flags
+
+    def test_carried_factors_equal_eta_at_every_draw(self):
         data, anchor = self.make_problem(seed=8)
         hp = Hyperparameters(iterations=60, burn_in=20, thin=1, seed=4, L=5)
         asg = FactorAssignment(np.array([1]))
-        seen = {"sample_loadings": [], "sample_residual_variances": [], "log_joint": []}
-
-        def recording(name):
-            original = getattr(nifa.sampler, name)
-
-            def block(*args, **kwargs):
-                seen[name].append(kwargs["factors"] if name == "log_joint" else args[0])
-                return original(*args, **kwargs)
-            return block
-
-        for name in seen:
-            monkeypatch.setattr(nifa.sampler, name, recording(name))
-        chain = run_chain(data, anchor, hp, asg)
+        states, flags = self.sweep_states(data, anchor, hp, asg)
         # kept points come from both rejected and accepted proposals
-        assert 0 < chain.diagnostics.mala_acceptance_rate < 1
-        assert len(seen["log_joint"]) == len(chain)
-        for m in range(len(chain)):
-            expected = eta(chain.spline_coefficients[m], chain.latent_locations[m], asg)
-            assert np.array_equal(seen["log_joint"][m], expected)
-            if m + 1 < len(chain):  # the next sweep's loadings and variance blocks
-                assert np.array_equal(seen["sample_loadings"][hp.burn_in + m + 1], expected)
-                assert np.array_equal(seen["sample_residual_variances"][m + 1], expected)
+        assert 0 < np.mean(flags[hp.burn_in:]) < 1
+        for t, st in enumerate(states):
+            assert st["t"] == t
+            assert np.array_equal(st["factors"],
+                                  eta(st["spline_coefficients"], st["latent_locations"], asg))
+            assert st["geometry"].u is st["latent_locations"]
 
     def test_carried_geometry_equals_fresh_computation_at_every_sweep(self, monkeypatch):
         data, anchor = self.make_problem(seed=8)
         hp = Hyperparameters(iterations=60, burn_in=20, thin=1, seed=4, L=5)
         asg = FactorAssignment(np.array([1]))
-        spline_calls, sweeps, cross_builds, penalty_builds = [], [], [], []
-        original_posterior, original_step = spline_posterior, mala_step
-
-        def recording_posterior(*args):
-            result = original_posterior(*args)
-            spline_calls.append((args, result))
-            return result
-
-        def recording_step(u, target, epsilon, rng):
-            scored = []
-
-            def scoring(v):
-                out = target(v)
-                scored.append((v, out[0]))
-                return out
-
-            result = original_step(u, scoring, epsilon, rng)
-            sweeps.append(dict(u=u.copy(), target=target, scored=scored, accepted=result[1]))
-            return result
+        cross_builds, penalty_points, penalty_builds = [], [], []
 
         def counting_cross(geo):
             cross_builds.append(geo.u)
             return cross_func(geo)
 
+        def counting_penalties(geo):
+            penalty_points.append(geo.u)
+            return penalties_func(geo)
+
         def counting_penalty(u_col):
             penalty_builds.append(u_col)
             return uniform_penalty(u_col)
 
-        cross_func = LatentGeometry.cross.func
-        counted = cached_property(counting_cross)
-        counted.__set_name__(LatentGeometry, "cross")
-        monkeypatch.setattr(LatentGeometry, "cross", counted)
+        cross_func, penalties_func = LatentGeometry.cross.func, LatentGeometry.penalties.func
+        for name, func in (("cross", counting_cross), ("penalties", counting_penalties)):
+            counted = cached_property(func)
+            counted.__set_name__(LatentGeometry, name)
+            monkeypatch.setattr(LatentGeometry, name, counted)
         monkeypatch.setattr(nifa.sampler, "uniform_penalty", counting_penalty)
-        monkeypatch.setattr(nifa.sampler, "spline_posterior", recording_posterior)
-        monkeypatch.setattr(nifa.sampler, "mala_step", recording_step)
-        chain = run_chain(data, anchor, hp, asg)
-        assert 0 < chain.diagnostics.mala_acceptance_rate < 1
-        assert len(spline_calls) == len(sweeps) == hp.iterations
-        for (args, used), sweep in zip(spline_calls, sweeps):
-            # the spline block and the target's first call both see this sweep's u
-            fresh = reference_spline_posterior(*args[:2], sweep["u"], *args[3:])
-            assert all(np.array_equal(a, b) for a, b in zip(used, fresh))
-            kw = sweep["target"].keywords
-            v, value = sweep["scored"][0]
-            assert np.array_equal(v, sweep["u"])
-            assert value == reference_u_log_target(
-                sweep["u"], kw["coefficients"], kw["loadings"], kw["residual_variances"],
-                asg, data, hp.nu)[0]
+        states, flags = self.sweep_states(data, anchor, hp, asg)
+        assert 0 < np.mean(flags[hp.burn_in:]) < 1
         # the cross products: the start, then each accepted point a later sweep reads
-        assert len(cross_builds) == 1 + sum(s["accepted"] for s in sweeps[:-1])
-        # the penalty: once per column of each distinct point the target scores
-        scored = {id(v): v for s in sweeps for v, _ in s["scored"]}
-        assert len(penalty_builds) == asg.n_locations * len(scored)
+        assert len(cross_builds) == 1 + sum(flags[:-1])
+        # the penalty: once per column of each distinct point the target scores, at
+        # most the start and one proposal per sweep, among them every kept point
+        assert len({id(u) for u in penalty_points}) == len(penalty_points) <= 1 + hp.iterations
+        assert len(penalty_builds) == asg.n_locations * len(penalty_points)
+        assert all(any(st["latent_locations"] is u for u in penalty_points) for st in states)
+        for st in states:
+            # what the next sweep's spline block and target read at this point
+            lam, coef, u, sig = (st[name] for name in CHAIN_ARRAYS[:4])
+            used = spline_posterior(lam, sig, st["geometry"], asg, data, hp)
+            fresh = reference_spline_posterior(lam, sig, u, asg, data, hp)
+            assert all(np.array_equal(a, b) for a, b in zip(used, fresh))
+            value = u_log_target(u, coef, lam, sig, asg, data, hp.nu, st["geometry"])[0]
+            assert value == reference_u_log_target(u, coef, lam, sig, asg, data, hp.nu)[0]
+
+    @pytest.mark.parametrize("hold", [SIGMA_HOLD_SWEEPS, 5])
+    def test_residual_variances_held_then_drawn(self, monkeypatch, hold):
+        monkeypatch.setattr(nifa.sampler, "SIGMA_HOLD_SWEEPS", hold)
+        data, anchor = self.make_problem(seed=9)
+        hp = Hyperparameters(iterations=30, burn_in=20, thin=1, seed=5, L=5)
+        states, _ = self.sweep_states(data, anchor, hp, FactorAssignment(np.array([1])))
+        start = min(hold, hp.burn_in)
+        for t in range(hp.iterations):
+            before, after = (states[t]["residual_variances"], states[t + 1]["residual_variances"])
+            if t < start:
+                assert after is before
+            else:
+                assert not np.array_equal(after[1:], before[1:])
+                assert after[0] == anchor.residual_variances[0]
+
+    def test_step_adapts_in_burn_in_then_freezes(self):
+        data, anchor = self.make_problem(seed=8)
+        hp = Hyperparameters(iterations=60, burn_in=20, thin=1, seed=4, L=5)
+        states, flags = self.sweep_states(data, anchor, hp, FactorAssignment(np.array([1])))
+        assert 0 < np.mean(flags[:hp.burn_in]) < 1
+        for t, accepted in enumerate(flags):
+            move = 0.05 * ((1.0 if accepted else 0.0) - MALA_TARGET_ACCEPTANCE)
+            expected = states[t]["log_step"] + (move if t < hp.burn_in else 0.0)
+            assert states[t + 1]["log_step"] == expected
+
+    def test_hand_loop_of_sweeps_reproduces_run_chain(self):
+        data, anchor = self.make_problem(seed=5)
+        hp = Hyperparameters(iterations=50, burn_in=20, thin=3, seed=11, L=5)
+        asg = FactorAssignment(np.array([1]))
+        chain = run_chain(data, anchor, hp, asg)
+        states, flags = self.sweep_states(data, anchor, hp, asg)
+        kept = states[hp.burn_in + 1::hp.thin]
+        assert len(kept) == len(chain)
+        for name in CHAIN_ARRAYS:
+            assert np.array_equal(np.array([st[name] for st in kept]), getattr(chain, name))
+        trace = [log_joint(st, data, hp, n_anchor=1) for st in kept]
+        assert np.array_equal(trace, chain.diagnostics.log_posterior_trace)
+        rate = sum(flags[hp.burn_in:]) / (hp.iterations - hp.burn_in)
+        assert rate == chain.diagnostics.mala_acceptance_rate
 
     def test_chain_trace_matches_samples(self):
         data, anchor = self.make_problem(seed=5)
         hp = Hyperparameters(iterations=40, burn_in=20, thin=10, seed=11, L=5)
         chain = run_chain(data, anchor, hp, FactorAssignment(np.array([1])))
         for m, lp in enumerate(chain.diagnostics.log_posterior_trace):
-            lam, coef, u, *rest = (getattr(chain, name)[m] for name in CHAIN_ARRAYS)
-            assert log_joint(lam, coef, LatentGeometry(u, hp.L), *rest, chain.assignment, data, hp,
-                             n_anchor=1) == lp
+            st = {name: getattr(chain, name)[m] for name in CHAIN_ARRAYS}
+            st["assignment"] = chain.assignment
+            assert log_joint(with_carried(st), data, hp, n_anchor=1) == lp
 
     @pytest.mark.parametrize("block, nth_call, poison", [
         ("sample_loadings", 3, lambda lam: lam * np.nan),
