@@ -18,8 +18,13 @@ print(f"data: {data.n_rows} points in {data.n_features} dimensions")
 # bandwidth has to stay below that gap or the embedding glues the windings
 # together. The default median-distance heuristic is far too wide here.
 cfg = DiffusionConfig(epsilon_dm=1.5)
-anchors = run_pretraining(data, cfg, n_pieces=20)
+anchors, decisions = run_pretraining(data, cfg, n_pieces=20)
 
+# The decisions record what pretraining chose and why: the local radius it
+# resolved by default, and the successor ratios of the mean local eigenvalues
+# that the dimension rule reads.
+print(f"local radius epsilon_local = {decisions['config']['epsilon_local']:.4f}")
+print("eigenvalue ratios:", ", ".join(f"{r:.3g}" for r in decisions["eigenvalue_ratios"]))
 print(f"estimated latent dimension: {anchors.n_anchors}")
 for j in range(anchors.n_anchors):
     r_u = spearmanr(anchors.coordinates[:, j], u_true).statistic

@@ -15,7 +15,7 @@ from nifa.sampler import run_chain
 from nifa.simulate import gen_setting3
 
 data = gen_setting3(300, seed=7)
-anchors = run_pretraining(data, DiffusionConfig(epsilon_dm=0.5, dimension_offset=1), 20)
+anchors, _ = run_pretraining(data, DiffusionConfig(epsilon_dm=0.5, dimension_offset=1), 20)
 print(f"pretraining found K = {anchors.n_anchors} latent coordinates")
 
 # Augment the data with the anchor columns; their residual variances stay

@@ -18,7 +18,7 @@ from nifa.simulate import gen_setting1, posterior_predictive_array
 train = gen_setting1(400, seed=3)
 test = gen_setting1(1000, seed=4).values
 
-anchors = run_pretraining(train, DiffusionConfig(dimension_offset=1), 20)
+anchors, _ = run_pretraining(train, DiffusionConfig(dimension_offset=1), 20)
 augmented = DataMatrix(np.hstack([anchors.coordinates, train.values]))
 assignment = FactorAssignment.round_robin(2 * anchors.n_anchors, anchors.n_anchors)
 hp = Hyperparameters(iterations=4000, burn_in=2000, thin=10, seed=9)

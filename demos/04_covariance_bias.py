@@ -16,7 +16,7 @@ from nifa.simulate import gen_setting1
 
 for seed in range(3):
     data = gen_setting1(300, seed)
-    anchors = run_pretraining(data, DiffusionConfig(dimension_offset=1), 20)
+    anchors, _ = run_pretraining(data, DiffusionConfig(dimension_offset=1), 20)
     augmented = DataMatrix(np.hstack([anchors.coordinates, data.values]))
     assignment = FactorAssignment.round_robin(2 * anchors.n_anchors, anchors.n_anchors)
     hp = Hyperparameters(iterations=4000, burn_in=2000, thin=10, seed=seed + 50)

@@ -18,7 +18,7 @@ from .pretrain import (
     AnchorSet,
     DegenerateGeometryError,
     DiffusionConfig,
-    anchors_from_external,
+    anchor_set,
     estimate_dimension,
     run_pretraining,
 )
@@ -73,7 +73,7 @@ __all__ = [
     "LatentGeometry",
     "PosteriorChain",
     "ShapeError",
-    "anchors_from_external",
+    "anchor_set",
     "covariance_estimators",
     "estimate_dimension",
     "gen_hetero_clusters",

@@ -56,25 +56,23 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     data = _load_data(args.input)
-    out_dir = Path(args.out_dir)
     if args.anchors:
         coords = runio.load_matrix(args.anchors)
         if coords.shape[0] != data.n_rows:
             raise UsageError(f"--anchors has {coords.shape[0]} rows but --input has "
                              f"{data.n_rows}")
-        anchor = pretrain.anchors_from_external(coords, args.L)
-        runio.save_anchor_set(out_dir, anchor, {"pieces": args.L})
-        print(f"external anchors: K={anchor.n_anchors}")
-        print("residual variances:", np.array2string(anchor.residual_variances))
-        return 0
-    cfg = _config(pretrain.DiffusionConfig, args)
-    anchor, decisions = pretrain.pretrain_with_decisions(data, cfg, args.L)
-    runio.save_anchor_set(out_dir, anchor, {"pieces": args.L, **decisions})
-    print(f"selected K={anchor.n_anchors}")
-    print("mean local eigenvalues and successor ratios:")
-    ratios = np.append(decisions["eigenvalue_ratios"], np.nan)
-    for m, (lam, ratio) in enumerate(zip(decisions["mean_local_eigenvalues"], ratios)):
-        print(f"  rank {m + 1}: {lam:.6g}  ratio-to-next {ratio:.4f}")
+        anchor, decisions = pretrain.anchor_set(coords, args.L, "external"), {}
+    else:
+        cfg = _config(pretrain.DiffusionConfig, args)
+        anchor, decisions = pretrain.run_pretraining(data, cfg, args.L)
+    runio.save_anchor_set(Path(args.out_dir), anchor, {"pieces": args.L, **decisions})
+    print(f"{anchor.source} anchors: selected K={anchor.n_anchors}")
+    print("residual variances:", np.array2string(anchor.residual_variances))
+    if decisions:
+        print("mean local eigenvalues and successor ratios:")
+        ratios = np.append(decisions["eigenvalue_ratios"], np.nan)
+        for m, (lam, ratio) in enumerate(zip(decisions["mean_local_eigenvalues"], ratios)):
+            print(f"  rank {m + 1}: {lam:.6g}  ratio-to-next {ratio:.4f}")
     return 0
 
 

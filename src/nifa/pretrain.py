@@ -37,8 +37,9 @@ class DiffusionConfig:
             raise ValueError("epsilon_local must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0,1)")
-        if self.Q < 1:
-            raise ValueError("Q must be at least 1")
+        # estimate_dimension compares successive coordinates, so it needs two
+        if self.Q < 2:
+            raise ValueError(f"Q must be at least 2, got {self.Q}")
 
 
 @dataclass(frozen=True)
@@ -139,20 +140,18 @@ def _leading_eigenpairs(sym: np.ndarray, k: int):
     return s, psi, "dense"
 
 
-def diffusion_spectrum(data: DataMatrix, cfg: DiffusionConfig):
-    """Leading eigenpairs of -L via its symmetric conjugate.
+def diffusion_spectrum(data: DataMatrix, epsilon_dm: float, Q: int):
+    """Leading eigenpairs of -L via its symmetric conjugate, at bandwidth epsilon_dm.
 
     Returns (eigenvalues, coordinates, solver): the Q smallest non-trivial
     eigenvalues of -L in ascending order, the matching unit eigenvectors as
     columns, and the eigensolver that ran ("arpack" or "dense").
     """
-    n = data.n_rows
-    if not 1 <= cfg.Q <= n - 1:
+    if not 1 <= Q <= data.n_rows - 1:
         raise ValueError("Q must satisfy 1 <= Q <= N-1")
-    eps = cfg.epsilon_dm if cfg.epsilon_dm is not None else default_epsilon_dm(data)
     # the kernel is normalised in place: K -> W = K / (d d^T) -> D^-1/2 W D^-1/2,
     # the symmetric conjugate of the transition matrix D^-1 W
-    sym = kernel_matrix(data, eps)
+    sym = kernel_matrix(data, epsilon_dm)
     d = sym.sum(axis=1)
     if np.any(d <= 0):
         raise DegenerateGeometryError("kernel has a zero row sum")
@@ -162,34 +161,32 @@ def diffusion_spectrum(data: DataMatrix, cfg: DiffusionConfig):
                     None)
     if isolated is not None:
         raise DegenerateGeometryError(
-            f"kernel graph is disconnected at epsilon_dm={eps:.6g} "
+            f"kernel graph is disconnected at epsilon_dm={epsilon_dm:.6g} "
             f"(point {isolated} has no neighbour); increase epsilon_dm"
         )
     _divide_by_outer(sym, d)
     row = sym.sum(axis=1)
     _divide_by_outer(sym, row, root=True)
-    s, psi, solver = _leading_eigenpairs(sym, cfg.Q + 1)
+    s, psi, solver = _leading_eigenpairs(sym, Q + 1)
     # s descending in the transition operator means mu = (1 - s)/eps^2 ascending.
-    order = np.argsort(s)[::-1][: cfg.Q + 1]
+    order = np.argsort(s)[::-1][: Q + 1]
     s = s[order]
     # a second eigenvalue at 1 means several connected components: the
     # "coordinates" would be arbitrary vectors of the degenerate eigenspace
     gap = 1.0 - s[1]
     if gap <= 1e-10:
         raise DegenerateGeometryError(
-            f"kernel graph is numerically disconnected at epsilon_dm={eps:.6g} "
+            f"kernel graph is numerically disconnected at epsilon_dm={epsilon_dm:.6g} "
             f"(spectral gap {gap:.2g} <= 1e-10); increase epsilon_dm"
         )
     # skip mu_0 = 0 (constant eigenvector); keep the next Q, ascending mu
-    mu = (1.0 - s[1:]) / eps**2
+    mu = (1.0 - s[1:]) / epsilon_dm**2
     coords = psi[:, order[1:]] / np.sqrt(row)[:, None]
     coords /= np.linalg.norm(coords, axis=0)
-    # sign convention: first entry of non-negligible magnitude is positive
-    for q in range(coords.shape[1]):
-        col = coords[:, q]
-        lead = np.flatnonzero(np.abs(col) > 1e-12)
-        if lead.size and col[lead[0]] < 0:
-            coords[:, q] = -col
+    # sign convention: first entry of non-negligible magnitude is positive (a
+    # unit column always has one)
+    lead = np.argmax(np.abs(coords) > 1e-12, axis=0)
+    coords[:, coords[lead, np.arange(Q)] < 0] *= -1.0
     return mu, coords, solver
 
 
@@ -205,12 +202,9 @@ def local_covariance(coords: np.ndarray, i: int, epsilon_local: float) -> np.nda
 
 def mean_local_eigenvalues(coords: np.ndarray, epsilon_local: float) -> np.ndarray:
     """Per-rank means of local-covariance eigenvalues, sorted descending."""
-    n, q = coords.shape
-    acc = np.zeros(q)
-    for i in range(n):
-        vals = np.linalg.eigvalsh(local_covariance(coords, i, epsilon_local))
-        acc += vals[::-1]
-    return acc / n
+    covs = np.stack([local_covariance(coords, i, epsilon_local)
+                     for i in range(coords.shape[0])])
+    return np.linalg.eigvalsh(covs)[:, ::-1].mean(axis=0)
 
 
 def estimate_dimension(mean_eigenvalues: np.ndarray, delta: float) -> int:
@@ -230,61 +224,56 @@ def estimate_dimension(mean_eigenvalues: np.ndarray, delta: float) -> int:
     return max(qualifying) if qualifying else 1
 
 
-def _check_pieces(n_pieces: int) -> None:
+def _check_pieces(n_pieces: int, n_rows: int) -> None:
     if n_pieces < 1:
         raise ValueError(f"the number of spline pieces must be at least 1, got {n_pieces}")
+    if n_rows <= n_pieces + 2:
+        raise ValueError(f"need more than L+2={n_pieces + 2} rows, got {n_rows}")
 
 
-def anchor_residual_variance(column: np.ndarray, n_pieces: int):
+def anchor_residual_variance(column: np.ndarray, n_pieces: int) -> float:
     """Residual variance of a candidate anchor column.
 
     Ranks the column to u* = r/N, fits least squares on the intercept-plus-
-    clamp basis, and returns (RSS / (N - L - 2), u*).
+    clamp basis, and returns RSS / (N - L - 2).
     """
-    _check_pieces(n_pieces)
     col = np.asarray(column, dtype=float).ravel()
     n = col.size
-    if n <= n_pieces + 2:
-        raise ValueError(f"need more than L+2={n_pieces + 2} rows, got {n}")
-    u_star = rank_transform(col)
-    design = spline_design(u_star, n_pieces)
+    _check_pieces(n_pieces, n)
+    design = spline_design(rank_transform(col), n_pieces)
     coef, _, rank, _ = np.linalg.lstsq(design, col, rcond=None)
     if rank < design.shape[1]:
         raise np.linalg.LinAlgError("rank-deficient design in anchor regression")
     rss = float(np.sum((col - design @ coef) ** 2))
-    return rss / (n - n_pieces - 2), u_star
+    return rss / (n - n_pieces - 2)
 
 
-def anchors_from_external(coordinates: np.ndarray, n_pieces: int) -> AnchorSet:
-    """Build an AnchorSet from externally computed anchor coordinates."""
+def anchor_set(coordinates: np.ndarray, n_pieces: int, source: str) -> AnchorSet:
+    """The AnchorSet of the given anchor columns, each with its residual variance
+    under an n_pieces-piece spline fit; source is "diffusion_map" or "external"."""
     coords = np.atleast_2d(np.asarray(coordinates, dtype=float))
-    variances = np.array(
-        [anchor_residual_variance(coords[:, k], n_pieces)[0] for k in range(coords.shape[1])]
-    )
-    return AnchorSet(coords, variances, source="external")
+    variances = np.array([anchor_residual_variance(col, n_pieces) for col in coords.T])
+    return AnchorSet(coords, variances, source)
 
 
-def pretrain_with_decisions(data: DataMatrix, cfg: DiffusionConfig, n_pieces: int):
+def run_pretraining(data: DataMatrix, cfg: DiffusionConfig,
+                    n_pieces: int) -> tuple[AnchorSet, dict]:
     """Embed, estimate K, extract anchors and estimate their variances, once.
 
     Returns (AnchorSet, decisions). ``decisions`` records the configuration
-    with both bandwidths as used, the diffusion eigenvalues, the eigensolver
-    that produced them, the mean local eigenvalues and their successor ratios
-    (NaN after a non-positive one). An invalid ``n_pieces`` is rejected before
-    the embedding starts.
+    with both bandwidths as used (each default resolved here, once), the
+    diffusion eigenvalues, the eigensolver that produced them, the mean local
+    eigenvalues and their successor ratios (NaN after a non-positive one). An
+    invalid ``n_pieces`` is rejected before the embedding starts.
     """
-    _check_pieces(n_pieces)
+    _check_pieces(n_pieces, data.n_rows)
     eps_dm = cfg.epsilon_dm if cfg.epsilon_dm is not None else default_epsilon_dm(data)
-    eigenvalues, coords, solver = diffusion_spectrum(data, replace(cfg, epsilon_dm=eps_dm))
+    eigenvalues, coords, solver = diffusion_spectrum(data, eps_dm, cfg.Q)
     eps_local = (cfg.epsilon_local if cfg.epsilon_local is not None
                  else default_epsilon_local(coords))
     lam = mean_local_eigenvalues(coords, eps_local)
     k = estimate_dimension(lam, cfg.delta) + cfg.dimension_offset
     k = max(1, min(k, coords.shape[1]))
-    anchors = coords[:, :k]
-    variances = np.array(
-        [anchor_residual_variance(anchors[:, j], n_pieces)[0] for j in range(k)]
-    )
     decisions = {
         "config": asdict(replace(cfg, epsilon_dm=eps_dm, epsilon_local=eps_local)),
         "diffusion_eigenvalues": eigenvalues,
@@ -293,9 +282,4 @@ def pretrain_with_decisions(data: DataMatrix, cfg: DiffusionConfig, n_pieces: in
         "eigenvalue_ratios": np.divide(lam[1:], lam[:-1], out=np.full(lam.size - 1, np.nan),
                                        where=lam[:-1] > 0),
     }
-    return AnchorSet(anchors, variances, source="diffusion_map"), decisions
-
-
-def run_pretraining(data: DataMatrix, cfg: DiffusionConfig, n_pieces: int) -> AnchorSet:
-    """Full pipeline: embed, estimate K, extract anchors, estimate their variances."""
-    return pretrain_with_decisions(data, cfg, n_pieces)[0]
+    return anchor_set(coords[:, :k], n_pieces, "diffusion_map"), decisions

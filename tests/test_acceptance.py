@@ -55,7 +55,7 @@ def _report(capsys, label, ok, detail):
 
 def fit(data, cfg, factor_mult, hp):
     """Standard pipeline: pretrain, augment with anchors, run one chain."""
-    anchor = run_pretraining(data, cfg, 20)
+    anchor, _ = run_pretraining(data, cfg, 20)
     aug = DataMatrix(np.hstack([anchor.coordinates, data.values]))
     asg = FactorAssignment.round_robin(factor_mult * anchor.n_anchors, anchor.n_anchors)
     return run_chain(aug, anchor, hp, asg), aug
@@ -433,7 +433,7 @@ def test_criterion_6_pretraining(capsys):
     from scipy.stats import spearmanr
 
     data, u_true, v_true = gen_swiss_roll(500, 2)
-    anchors = run_pretraining(data, DiffusionConfig(epsilon_dm=1.5), 20)
+    anchors, _ = run_pretraining(data, DiffusionConfig(epsilon_dm=1.5), 20)
     truths = np.column_stack([u_true, v_true])
     hits = []
     for j in range(anchors.n_anchors):
@@ -445,7 +445,7 @@ def test_criterion_6_pretraining(capsys):
     swiss_ok = all(h == 1 for h in hits)
 
     dims = [
-        run_pretraining(gen_setting3(500, s), DiffusionConfig(dimension_offset=1), 20).n_anchors
+        run_pretraining(gen_setting3(500, s), DiffusionConfig(dimension_offset=1), 20)[0].n_anchors
         for s in (0, 1, 2)
     ]
     dim_ok = all(k == 2 for k in dims)

@@ -111,6 +111,22 @@ class TestPretrain:
         assert f"got {pieces}" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("q", ["1", "0"])
+    def test_q_below_two_is_usage_error(self, workspace, tmp_path, capsys, monkeypatch, q):
+        import nifa.pretrain
+
+        def embedding_started(*args, **kwargs):
+            raise AssertionError("rejected only after the embedding started")
+
+        # the dimension rule compares two coordinates, so Q < 2 is rejected
+        # with the configuration, before any embedding work
+        for name in ("default_epsilon_dm", "diffusion_spectrum"):
+            monkeypatch.setattr(nifa.pretrain, name, embedding_started)
+        assert run("pretrain", "--input", workspace / "data.csv", "--out-dir",
+                   tmp_path / "a", "--q", q) == 2
+        assert f"Q must be at least 2, got {q}" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_anchor_row_count_must_match_input(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         save_matrix(tmp_path / "d.csv", rng.standard_normal((120, 3)))
@@ -219,7 +235,7 @@ class Recorded(Exception):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Patch `run_chain` and `pretrain_with_decisions` to record their arguments
+    """Patch `run_chain` and `run_pretraining` to record their arguments
     and raise `Recorded`; returns the records by function name."""
     import nifa.pretrain
     import nifa.sampler
@@ -233,8 +249,7 @@ def recorded(monkeypatch):
         return record
 
     monkeypatch.setattr(nifa.sampler, "run_chain", recorder("run_chain"))
-    monkeypatch.setattr(nifa.pretrain, "pretrain_with_decisions",
-                        recorder("pretrain_with_decisions"))
+    monkeypatch.setattr(nifa.pretrain, "run_pretraining", recorder("run_pretraining"))
     return calls
 
 
@@ -297,7 +312,7 @@ class TestConfigDefaults:
                                                             recorded):
         with pytest.raises(Recorded):
             run("pretrain", "--input", workspace / "data.csv", "--out-dir", tmp_path / "a")
-        _, cfg, n_pieces = recorded["pretrain_with_decisions"]
+        _, cfg, n_pieces = recorded["run_pretraining"]
         assert cfg == DiffusionConfig()
         assert n_pieces == Hyperparameters().L
 
@@ -606,7 +621,7 @@ class TestPretrainPass:
         data = load_matrix(workspace / "data.csv")
         from nifa.model import DataMatrix
 
-        expected = pretrain.run_pretraining(DataMatrix(data), pretrain.DiffusionConfig(), 8)
+        expected, _ = pretrain.run_pretraining(DataMatrix(data), pretrain.DiffusionConfig(), 8)
         out = capsys.readouterr().out
         assert f"selected K={expected.n_anchors}\n" in out
         meta = load_json(tmp_path / "a" / "anchor_meta.json")

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -6,13 +7,13 @@ from scipy.linalg import eig
 from scipy.sparse.linalg import ArpackNoConvergence
 from scipy.stats import spearmanr
 
-from nifa.model import DataMatrix, spline_basis
+from nifa.model import DataMatrix, rank_transform, spline_basis
 from nifa.pretrain import (
     AnchorSet,
     DegenerateGeometryError,
     DiffusionConfig,
     anchor_residual_variance,
-    anchors_from_external,
+    anchor_set,
     default_epsilon_dm,
     default_epsilon_local,
     diffusion_spectrum,
@@ -20,7 +21,6 @@ from nifa.pretrain import (
     kernel_matrix,
     local_covariance,
     mean_local_eigenvalues,
-    pretrain_with_decisions,
     run_pretraining,
 )
 from nifa.simulate import gen_setting3, gen_swiss_roll
@@ -99,8 +99,7 @@ class TestSpectrum:
         # independent oracle: eigendecompose -L directly (non-symmetric)
         dm, _ = circle_data(40, seed=5)
         eps = default_epsilon_dm(dm)
-        cfg = DiffusionConfig(epsilon_dm=eps, Q=4)
-        mu, coords, _ = diffusion_spectrum(dm, cfg)
+        mu, coords, _ = diffusion_spectrum(dm, eps, 4)
         lap = normalized_laplacian(kernel_matrix(dm, eps), eps)
         vals = np.sort(np.real(eig(-lap)[0]))
         assert vals[0] == pytest.approx(0.0, abs=1e-8)
@@ -109,8 +108,7 @@ class TestSpectrum:
     def test_coordinates_are_eigenvectors(self):
         dm, _ = circle_data(35, seed=6)
         eps = default_epsilon_dm(dm)
-        cfg = DiffusionConfig(epsilon_dm=eps, Q=3)
-        mu, coords, _ = diffusion_spectrum(dm, cfg)
+        mu, coords, _ = diffusion_spectrum(dm, eps, 3)
         lap = normalized_laplacian(kernel_matrix(dm, eps), eps)
         for q in range(3):
             v = coords[:, q]
@@ -119,14 +117,14 @@ class TestSpectrum:
 
     def test_eigenvalues_ascending_nonnegative(self):
         dm, _ = circle_data(30, seed=7)
-        mu, _, _ = diffusion_spectrum(dm, DiffusionConfig(Q=5))
+        mu, _, _ = diffusion_spectrum(dm, default_epsilon_dm(dm), 5)
         assert np.all(np.diff(mu) >= -1e-12)
         assert mu[0] > -1e-10
 
     def test_sign_convention_deterministic(self):
         dm, _ = circle_data(30, seed=8)
-        _, c1, _ = diffusion_spectrum(dm, DiffusionConfig(Q=3))
-        _, c2, _ = diffusion_spectrum(dm, DiffusionConfig(Q=3))
+        _, c1, _ = diffusion_spectrum(dm, default_epsilon_dm(dm), 3)
+        _, c2, _ = diffusion_spectrum(dm, default_epsilon_dm(dm), 3)
         assert np.array_equal(c1, c2)
         for q in range(3):
             lead = np.flatnonzero(np.abs(c1[:, q]) > 1e-12)[0]
@@ -135,20 +133,19 @@ class TestSpectrum:
     def test_circle_first_coordinate_tracks_angle(self):
         # on a circle the leading nontrivial eigenfunctions are sin/cos of angle
         dm, t = circle_data(80, seed=9)
-        _, coords, _ = diffusion_spectrum(dm, DiffusionConfig(Q=2))
+        _, coords, _ = diffusion_spectrum(dm, default_epsilon_dm(dm), 2)
         phase = np.arctan2(coords[:, 1], coords[:, 0])
         rho = abs(spearmanr(np.unwrap(phase), t).statistic)
         assert rho > 0.95
 
     def test_arpack_matches_dense_oracle_and_repeats(self):
         dm = gen_setting3(800, seed=21)
-        cfg = DiffusionConfig(epsilon_dm=0.5)
-        mu, coords, solver = diffusion_spectrum(dm, cfg)
+        mu, coords, solver = diffusion_spectrum(dm, 0.5, 5)
         assert solver == "arpack"
-        mu_dense, coords_dense = dense_spectrum(dm, 0.5, cfg.Q)
+        mu_dense, coords_dense = dense_spectrum(dm, 0.5, 5)
         assert np.allclose(mu, mu_dense, rtol=0, atol=1e-8)
         assert np.allclose(coords, coords_dense, rtol=0, atol=1e-8)
-        mu2, coords2, _ = diffusion_spectrum(dm, cfg)
+        mu2, coords2, _ = diffusion_spectrum(dm, 0.5, 5)
         assert np.array_equal(mu, mu2) and np.array_equal(coords, coords2)
 
     def test_all_nontrivial_pairs_use_dense_without_warning(self):
@@ -156,7 +153,7 @@ class TestSpectrum:
         dm, _ = circle_data(12, seed=22)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mu, coords, solver = diffusion_spectrum(dm, DiffusionConfig(Q=11))
+            mu, coords, solver = diffusion_spectrum(dm, default_epsilon_dm(dm), 11)
         assert solver == "dense"
         mu_dense, coords_dense = dense_spectrum(dm, default_epsilon_dm(dm), 11)
         assert np.allclose(mu, mu_dense, rtol=0, atol=1e-10)
@@ -172,11 +169,11 @@ class TestSpectrum:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         dm = gen_setting3(200, seed=23)
         cfg = DiffusionConfig(epsilon_dm=0.5)
-        mu, coords, solver = diffusion_spectrum(dm, cfg)
+        mu, coords, solver = diffusion_spectrum(dm, 0.5, cfg.Q)
         assert solver == "dense"
         mu_dense, coords_dense = dense_spectrum(dm, 0.5, cfg.Q)
         assert np.array_equal(mu, mu_dense) and np.array_equal(coords, coords_dense)
-        _, decisions = pretrain_with_decisions(dm, cfg, 10)
+        _, decisions = run_pretraining(dm, cfg, 10)
         assert decisions["eigensolver"] == "dense"
 
     def test_disconnected_kernel_graph_rejected(self, monkeypatch):
@@ -191,7 +188,7 @@ class TestSpectrum:
         monkeypatch.setattr(np.linalg, "eigh", must_not_run)
         dm = DataMatrix(np.random.default_rng(24).standard_normal((300, 3)))
         with pytest.raises(DegenerateGeometryError, match="epsilon_dm"):
-            diffusion_spectrum(dm, DiffusionConfig(epsilon_dm=0.05))
+            diffusion_spectrum(dm, 0.05, 5)
 
     def test_two_components_rejected_by_spectral_gap(self):
         # two far-apart clusters and no isolated point: eigenvalue 1 is repeated
@@ -199,12 +196,12 @@ class TestSpectrum:
         x = 0.3 * rng.standard_normal((80, 3))
         x[40:, 0] += 100.0
         with pytest.raises(DegenerateGeometryError, match="spectral gap"):
-            diffusion_spectrum(DataMatrix(x), DiffusionConfig(epsilon_dm=1.0))
+            diffusion_spectrum(DataMatrix(x), 1.0, 5)
 
     def test_q_bounds(self):
         dm, _ = circle_data(10)
         with pytest.raises(ValueError):
-            diffusion_spectrum(dm, DiffusionConfig(Q=10))
+            diffusion_spectrum(dm, default_epsilon_dm(dm), 10)
 
     def test_degenerate_duplicate_rows(self):
         dm = DataMatrix(np.zeros((6, 2)) + np.array([[0, 0]] * 6))
@@ -231,6 +228,16 @@ class TestLocalGeometry:
         lam = mean_local_eigenvalues(coords, 3.0)
         assert lam.shape == (4,)
         assert np.all(np.diff(lam) <= 1e-12)
+
+    def test_mean_eigenvalues_equal_per_point_loop(self):
+        # one batched eigensolve and a mean over points, bit for bit the same
+        # as accumulating each point's descending eigenvalues in turn
+        rng = np.random.default_rng(26)
+        coords = rng.standard_normal((200, 5)) * np.array([3.0, 2.0, 1.0, 0.5, 0.1])
+        acc = np.zeros(5)
+        for i in range(200):
+            acc += np.linalg.eigvalsh(local_covariance(coords, i, 1.5))[::-1]
+        assert np.array_equal(mean_local_eigenvalues(coords, 1.5), acc / 200)
 
     def test_dimension_literal_rule(self):
         # isotropic 2-plane inside 4 dims: ratio rule fires at k=1 only
@@ -259,9 +266,10 @@ class TestLocalGeometry:
 
 class TestAnchorVariance:
     def test_ranks_map_to_grid(self):
+        # the ranks that anchor_residual_variance regresses on
         rng = np.random.default_rng(14)
         col = rng.standard_normal(50)
-        _, u_star = anchor_residual_variance(col, 5)
+        u_star = rank_transform(col)
         assert sorted(u_star) == pytest.approx(list(np.arange(1, 51) / 50))
         # ordering of u_star follows ordering of the column
         assert np.array_equal(np.argsort(u_star), np.argsort(col, kind="stable"))
@@ -270,7 +278,8 @@ class TestAnchorVariance:
         rng = np.random.default_rng(15)
         col = rng.standard_normal(40)
         L = 4
-        var, u_star = anchor_residual_variance(col, L)
+        var = anchor_residual_variance(col, L)
+        u_star = rank_transform(col)
         design = np.column_stack([np.ones(40), spline_basis(u_star, L)])
         beta = np.linalg.solve(design.T @ design, design.T @ col)
         rss = np.sum((col - design @ beta) ** 2)
@@ -283,7 +292,7 @@ class TestAnchorVariance:
         rng = np.random.default_rng(16)
         perm = rng.permutation(n)
         col = (2 * u + 0.5)[perm]
-        var, _ = anchor_residual_variance(col, L)
+        var = anchor_residual_variance(col, L)
         assert var < 1e-20
 
     def test_too_few_rows(self):
@@ -295,10 +304,56 @@ class TestPipeline:
     def test_external_anchor_set(self):
         rng = np.random.default_rng(17)
         coords = rng.uniform(size=(40, 2))
-        a = anchors_from_external(coords, 5)
+        a = anchor_set(coords, 5, "external")
         assert a.source == "external"
         assert a.n_anchors == 2
         assert np.all(a.residual_variances > 0)
+
+    def test_both_sources_give_the_same_variances(self):
+        dm = gen_setting3(300, seed=27)
+        anchor, _ = run_pretraining(dm, DiffusionConfig(epsilon_dm=0.5, dimension_offset=1), 10)
+        external = anchor_set(anchor.coordinates, 10, "external")
+        assert anchor.source == "diffusion_map" and external.source == "external"
+        assert np.array_equal(external.coordinates, anchor.coordinates)
+        assert np.array_equal(external.residual_variances, anchor.residual_variances)
+
+    @pytest.mark.parametrize("cfg", [
+        DiffusionConfig(), DiffusionConfig(epsilon_dm=0.5, dimension_offset=1),
+    ], ids=["default-bandwidths", "given-epsilon-dm"])
+    def test_run_pretraining_equals_its_steps_in_sequence(self, cfg):
+        dm = gen_setting3(300, seed=28)
+        anchor, decisions = run_pretraining(dm, cfg, 10)
+        eps_dm = cfg.epsilon_dm or default_epsilon_dm(dm)
+        mu, coords, solver = diffusion_spectrum(dm, eps_dm, cfg.Q)
+        eps_local = default_epsilon_local(coords)
+        lam = mean_local_eigenvalues(coords, eps_local)
+        k = min(estimate_dimension(lam, cfg.delta) + cfg.dimension_offset, cfg.Q)
+        assert np.array_equal(anchor.coordinates, coords[:, :k])
+        assert np.array_equal(anchor.residual_variances,
+                              [anchor_residual_variance(col, 10) for col in coords[:, :k].T])
+        assert decisions["config"] == asdict(replace(cfg, epsilon_dm=eps_dm,
+                                                     epsilon_local=eps_local))
+        assert np.array_equal(decisions["diffusion_eigenvalues"], mu)
+        assert decisions["eigensolver"] == solver
+        assert np.array_equal(decisions["mean_local_eigenvalues"], lam)
+        assert np.array_equal(decisions["eigenvalue_ratios"], lam[1:] / lam[:-1])
+
+    def test_too_many_pieces_rejected_before_embedding(self, monkeypatch):
+        import nifa.pretrain
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("the embedding ran although the pieces cannot be fit")
+
+        monkeypatch.setattr(nifa.pretrain, "diffusion_spectrum", must_not_run)
+        dm = DataMatrix(np.random.default_rng(29).standard_normal((12, 2)))
+        with pytest.raises(ValueError, match="rows, got 12"):
+            run_pretraining(dm, DiffusionConfig(epsilon_dm=1.0), 10)
+
+    @pytest.mark.parametrize("q", [1, 0])
+    def test_config_rejects_q_below_two(self, q):
+        # the dimension rule compares successive coordinates
+        with pytest.raises(ValueError, match=f"^Q must be at least 2, got {q}"):
+            DiffusionConfig(Q=q)
 
     def test_anchor_set_validation(self):
         with pytest.raises(ValueError):
@@ -328,14 +383,14 @@ class TestPipeline:
         # the roll is a long thin strip; the kernel bandwidth must stay below
         # the gap between windings (2*pi) or the embedding short-circuits them
         dm, u, v = gen_swiss_roll(300, seed=18)
-        anchor = run_pretraining(dm, DiffusionConfig(epsilon_dm=1.5), 20)
+        anchor, _ = run_pretraining(dm, DiffusionConfig(epsilon_dm=1.5), 20)
         assert anchor.n_anchors == 1
         rho = abs(spearmanr(anchor.coordinates[:, 0], u).statistic)
         assert rho > 0.9
 
     def test_offset_clipped_to_q(self):
         dm, _, _ = gen_swiss_roll(120, seed=19)
-        a = run_pretraining(dm, DiffusionConfig(Q=2, dimension_offset=10), 10)
+        a, _ = run_pretraining(dm, DiffusionConfig(Q=2, dimension_offset=10), 10)
         assert a.n_anchors == 2
 
     def test_default_epsilon_local_positive(self):
