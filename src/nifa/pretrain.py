@@ -69,23 +69,73 @@ class AnchorSet:
         return self.coordinates.shape[1]
 
 
+# one row block of a pairwise computation holds about this many entries (~0.5 MB),
+# so its temporaries stay in cache and allocate no N x N array
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n: int):
+    """(lo, hi) bounds of consecutive row blocks of an n x n computation."""
+    step = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        yield lo, min(lo + step, n)
+
+
+def _squared_distances(points_t: np.ndarray, rows: slice, cols: slice = slice(None),
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances from the points in rows (one row each) to those in cols.
+
+    ``points_t`` is feature-major (features x points). The squares are summed
+    feature by feature, the order scipy's pdist sums them in, so each entry is
+    bitwise its "sqeuclidean" distance and a pair gives the same value both ways.
+    """
+    a, b = points_t[:, rows], points_t[:, cols]
+    sq = np.subtract(a[0, :, None], b[0], out=out)
+    sq *= sq
+    diff = np.empty_like(sq)
+    for a_f, b_f in zip(a[1:], b[1:]):
+        np.subtract(a_f[:, None], b_f, out=diff)
+        diff *= diff
+        sq += diff
+    return sq
+
+
+def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances of all pairs of points, each bitwise the one scipy's
+    ``pdist(points)`` gives, in an order of their own."""
+    points_t = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    n = points_t.shape[1]
+    out = np.empty(n * (n - 1) // 2)
+    at = 0
+    for lo, hi in _row_blocks(n):
+        # the pairs within the block, then those with every later point
+        within = _squared_distances(points_t, slice(lo, hi), slice(lo, hi))
+        within = within[np.triu_indices(hi - lo, 1)]
+        out[at : at + within.size] = within
+        at += within.size
+        later = out[at : at + (hi - lo) * (n - hi)].reshape(hi - lo, n - hi)
+        _squared_distances(points_t, slice(lo, hi), slice(hi, None), out=later)
+        at += later.size
+    return np.sqrt(out, out=out)
+
+
 def kernel_matrix(data: DataMatrix, epsilon_dm: float) -> np.ndarray:
     """Gaussian affinity exp(-||x_i - x_j||^2 / eps^2); symmetric, unit diagonal."""
-    from scipy.spatial.distance import pdist, squareform
-
     if epsilon_dm <= 0:
         raise ValueError("epsilon_dm must be positive")
-    sq = squareform(pdist(data.values, metric="sqeuclidean"))
-    np.divide(sq, -epsilon_dm**2, out=sq)
-    return np.exp(sq, out=sq)
+    x_t = np.ascontiguousarray(data.values.T)
+    n = data.n_rows
+    kern = np.empty((n, n))
+    for lo, hi in _row_blocks(n):
+        block = _squared_distances(x_t, slice(lo, hi), out=kern[lo:hi])
+        np.divide(block, -epsilon_dm**2, out=block)
+        np.exp(block, out=block)
+    return kern
 
 
 def default_epsilon_dm(data: DataMatrix) -> float:
     """Median of pairwise distances."""
-    from scipy.spatial.distance import pdist
-
-    d = pdist(data.values)
-    med = float(np.median(d))
+    med = float(np.median(_pairwise_distances(data.values), overwrite_input=True))
     if med <= 0:
         raise DegenerateGeometryError("median pairwise distance is zero")
     return med
@@ -93,46 +143,98 @@ def default_epsilon_dm(data: DataMatrix) -> float:
 
 def default_epsilon_local(coords: np.ndarray) -> float:
     """10th percentile of pairwise distances among embedded coordinates."""
-    from scipy.spatial.distance import pdist
-
-    d = pdist(coords)
-    q = float(np.quantile(d, 0.10))
+    q = float(np.quantile(_pairwise_distances(coords), 0.10, overwrite_input=True))
     if q <= 0:
         raise DegenerateGeometryError("local radius collapsed to zero")
     return q
 
 
-# ARPACK restart budget: the leading pairs take <= 5 restarts on well-connected
-# kernels and ~20 on a swiss roll; near-disconnected kernels do not converge, and
-# 30 failed restarts at N=3200 cost less than one dense eigh of that matrix.
-_ARPACK_MAXITER = 30
-# kernel rows rescaled per step, so the normalisation allocates no N x N temporary
-_ROW_BLOCK = 256
+# the kernel graph counts as disconnected when 1 - s_1 <= _GAP_TOL, s_1 the largest
+# eigenvalue of the normalised kernel after the trivial s_0 = 1
+_GAP_TOL = 1e-10
+# Lanczos builds a Krylov space of dimension _KRYLOV_START and doubles it until
+# every wanted Ritz residual is below _RITZ_TOL. Well-connected kernels converge
+# at 40 and swiss rolls at 80. A near-disconnected kernel (N(0, I_3) data,
+# N=3200, epsilon_dm=0.05) still has residuals of ~1e-4 at 320, so past
+# _KRYLOV_MAX the dense eigh runs instead.
+_KRYLOV_START = 40
+_KRYLOV_MAX = 160
+_RITZ_TOL = 1e-10
 
 
 def _divide_by_outer(matrix: np.ndarray, v: np.ndarray, root: bool = False) -> None:
     """In place, matrix /= outer(v, v) (or its square root), row block by row
     block; bitwise the same as the whole-matrix expression."""
-    for lo in range(0, v.size, _ROW_BLOCK):
-        outer = np.outer(v[lo : lo + _ROW_BLOCK], v)
-        matrix[lo : lo + _ROW_BLOCK] /= np.sqrt(outer, out=outer) if root else outer
+    for lo, hi in _row_blocks(v.size):
+        outer = np.outer(v[lo:hi], v)
+        matrix[lo:hi] /= np.sqrt(outer, out=outer) if root else outer
 
 
-def _leading_eigenpairs(sym: np.ndarray, k: int):
-    """The k largest eigenpairs of a symmetric matrix, as (values, vectors,
-    solver): ARPACK within _ARPACK_MAXITER restarts, otherwise dense eigh."""
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+def _project_out(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """In place, w minus its projection on the orthonormal rows of basis, by
+    classical Gram-Schmidt applied twice; returns the coefficients removed."""
+    coef = basis @ w
+    w -= coef @ basis
+    again = basis @ w
+    w -= again @ basis
+    return coef + again
 
+
+def _lanczos(sym: np.ndarray, k: int, top: np.ndarray):
+    """The k largest eigenpairs of sym on the orthogonal complement of its unit
+    eigenvector top, as (values descending, vectors as columns), or None.
+
+    Lanczos with full reorthogonalization from a fixed start vector; every new
+    vector is made orthogonal to top as well, so a second eigenvalue at 1 (a
+    second connected component) is found like any other. It returns early once
+    the leading Ritz value is within _GAP_TOL of 1: a Ritz value never exceeds
+    the eigenvalue it approximates, so the spectral gap is closed whatever the
+    residuals. None means no convergence within _KRYLOV_MAX steps, or a Krylov
+    space that closed on fewer than k vectors.
+    """
     n = sym.shape[0]
-    if k < n:
-        # a fixed start vector keeps the result deterministic; not the all-ones
-        # vector, which is the trivial eigenvector when the row sums are equal
-        v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
-        try:
-            s, psi = eigsh(sym, k=k, which="LA", v0=v0, maxiter=_ARPACK_MAXITER)
-            return s, psi, "arpack"
-        except ArpackNoConvergence:
-            pass
+    limit = min(_KRYLOV_MAX, n - 1)
+    # row 0 holds top, rows 1.. the Lanczos vectors
+    basis = np.empty((limit + 2, n))
+    basis[0] = top
+    # a fixed start vector keeps the result deterministic; not the all-ones
+    # vector, which is the trivial eigenvector when the row sums are equal
+    w = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    _project_out(w, basis[:1])
+    basis[1] = w / np.linalg.norm(w)
+    alpha, beta = np.zeros(limit), np.zeros(limit)
+    m, size, closed = 0, _KRYLOV_START, False
+    while True:
+        while m < min(size, limit) and not closed:
+            w = sym @ basis[m + 1]
+            alpha[m] = _project_out(w, basis[: m + 2])[m + 1]
+            beta[m] = np.linalg.norm(w)
+            m += 1
+            # a vanishing beta means the Krylov space is invariant: no next vector
+            closed = beta[m - 1] < _RITZ_TOL
+            if not closed:
+                basis[m + 1] = w / beta[m - 1]
+        if m >= k:
+            tri = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
+            theta, y = np.linalg.eigh(tri)
+            theta, y = theta[::-1][:k], y[:, ::-1][:, :k]
+            residual = beta[m - 1] * np.abs(y[m - 1])
+            if np.all(residual < _RITZ_TOL) or theta[0] >= 1.0 - _GAP_TOL:
+                return theta, basis[1 : m + 1].T @ y
+        if closed or m == limit:
+            return None
+        size *= 2
+
+
+def _leading_eigenpairs(sym: np.ndarray, k: int, top: np.ndarray):
+    """The k largest eigenpairs of a symmetric matrix whose largest eigenvalue is
+    1 with unit eigenvector top, as (values, vectors, solver): Lanczos on top's
+    orthogonal complement ("lanczos"), otherwise dense eigh ("dense")."""
+    if k < sym.shape[0]:
+        pairs = _lanczos(sym, k - 1, top)
+        if pairs is not None:
+            s, psi = pairs
+            return np.concatenate([[1.0], s]), np.column_stack([top, psi]), "lanczos"
     try:
         s, psi = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -145,7 +247,7 @@ def diffusion_spectrum(data: DataMatrix, epsilon_dm: float, Q: int):
 
     Returns (eigenvalues, coordinates, solver): the Q smallest non-trivial
     eigenvalues of -L in ascending order, the matching unit eigenvectors as
-    columns, and the eigensolver that ran ("arpack" or "dense").
+    columns, and the eigensolver that ran ("lanczos" or "dense").
     """
     if not 1 <= Q <= data.n_rows - 1:
         raise ValueError("Q must satisfy 1 <= Q <= N-1")
@@ -167,21 +269,23 @@ def diffusion_spectrum(data: DataMatrix, epsilon_dm: float, Q: int):
     _divide_by_outer(sym, d)
     row = sym.sum(axis=1)
     _divide_by_outer(sym, row, root=True)
-    s, psi, solver = _leading_eigenpairs(sym, Q + 1)
+    # sym sqrt(row) = sqrt(row): the trivial pair of the conjugate, known exactly
+    root = np.sqrt(row)
+    s, psi, solver = _leading_eigenpairs(sym, Q + 1, root / np.linalg.norm(root))
     # s descending in the transition operator means mu = (1 - s)/eps^2 ascending.
     order = np.argsort(s)[::-1][: Q + 1]
     s = s[order]
     # a second eigenvalue at 1 means several connected components: the
     # "coordinates" would be arbitrary vectors of the degenerate eigenspace
     gap = 1.0 - s[1]
-    if gap <= 1e-10:
+    if gap <= _GAP_TOL:
         raise DegenerateGeometryError(
             f"kernel graph is numerically disconnected at epsilon_dm={epsilon_dm:.6g} "
-            f"(spectral gap {gap:.2g} <= 1e-10); increase epsilon_dm"
+            f"(spectral gap {gap:.2g} <= {_GAP_TOL:.0e}); increase epsilon_dm"
         )
     # skip mu_0 = 0 (constant eigenvector); keep the next Q, ascending mu
     mu = (1.0 - s[1:]) / epsilon_dm**2
-    coords = psi[:, order[1:]] / np.sqrt(row)[:, None]
+    coords = psi[:, order[1:]] / root[:, None]
     coords /= np.linalg.norm(coords, axis=0)
     # sign convention: first entry of non-negligible magnitude is positive (a
     # unit column always has one)
@@ -194,16 +298,40 @@ def local_covariance(coords: np.ndarray, i: int, epsilon_local: float) -> np.nda
     """Neighborhood scatter matrix at point i, averaged over all N points."""
     if epsilon_local <= 0:
         raise ValueError("epsilon_local must be positive")
+    coords = np.asarray(coords, dtype=float)
     diffs = coords[i] - coords
-    mask = np.linalg.norm(diffs, axis=1) <= epsilon_local
-    sel = diffs[mask]
+    # neighbours by the distance pdist computes, as in mean_local_eigenvalues
+    sq = _squared_distances(np.ascontiguousarray(coords.T), slice(i, i + 1))[0]
+    sel = diffs[np.sqrt(sq) <= epsilon_local]
     return sel.T @ sel / coords.shape[0]
 
 
 def mean_local_eigenvalues(coords: np.ndarray, epsilon_local: float) -> np.ndarray:
-    """Per-rank means of local-covariance eigenvalues, sorted descending."""
-    covs = np.stack([local_covariance(coords, i, epsilon_local)
-                     for i in range(coords.shape[0])])
+    """Per-rank means of local-covariance eigenvalues, sorted descending.
+
+    Each point's local_covariance comes from three sums over its neighbours j,
+    taken for a row block of points at once: the count n_i, s_i = sum c_j and
+    S_i = sum c_j c_j^T give n_i c_i c_i^T - c_i s_i^T - s_i c_i^T + S_i.
+    """
+    if epsilon_local <= 0:
+        raise ValueError("epsilon_local must be positive")
+    coords = np.asarray(coords, dtype=float)
+    n, q = coords.shape
+    coords_t = np.ascontiguousarray(coords.T)
+    # the scatter does not move with the origin; centring keeps the sums small
+    c = coords - coords.mean(axis=0)
+    # a neighbour j contributes 1, c_j and c_j c_j^T: one product gives all sums
+    terms = np.column_stack([np.ones(n), c, (c[:, :, None] * c[:, None, :]).reshape(n, q * q)])
+    covs = np.empty((n, q, q))
+    for lo, hi in _row_blocks(n):
+        near = np.sqrt(_squared_distances(coords_t, slice(lo, hi))) <= epsilon_local
+        sums = near.astype(float) @ terms
+        count, first = sums[:, 0, None, None], sums[:, 1 : q + 1]
+        own = c[lo:hi]
+        cross = own[:, :, None] * first[:, None, :]
+        covs[lo:hi] = (count * own[:, :, None] * own[:, None, :] - cross
+                       - cross.transpose(0, 2, 1) + sums[:, q + 1 :].reshape(-1, q, q))
+    covs /= n
     return np.linalg.eigvalsh(covs)[:, ::-1].mean(axis=0)
 
 

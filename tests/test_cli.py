@@ -628,7 +628,7 @@ class TestPretrainPass:
         assert len(meta["diffusion_eigenvalues"]) == 5
         assert len(meta["eigenvalue_ratios"]) == len(meta["mean_local_eigenvalues"]) - 1
         assert meta["config"]["epsilon_dm"] > 0 and meta["config"]["epsilon_local"] > 0
-        assert meta["eigensolver"] == "arpack"
+        assert meta["eigensolver"] == "lanczos"
 
 
 class TestColumnarStages:
@@ -673,15 +673,18 @@ def scipy_modules_after(*args):
 
 
 class TestStartup:
-    """Only pretrain and fit import scipy; the other stages start on numpy alone."""
+    """Only fit imports scipy; the other stages start on numpy alone."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after() == set()
 
-    @pytest.mark.parametrize("command", ["simulate", "postprocess", "generate", "evaluate"])
+    @pytest.mark.parametrize("command",
+                             ["simulate", "pretrain", "postprocess", "generate", "evaluate"])
     def test_stage_loads_no_scipy(self, workspace, tmp_path, command):
         args = {
             "simulate": ("--setting", "3", "--n", "20", "--out", tmp_path / "d.csv"),
+            "pretrain": ("--input", workspace / "data.csv", "--out-dir", tmp_path / "a",
+                         "--pieces", "8"),
             "postprocess": (workspace / "run",),
             "generate": (workspace / "run", "--n", "5", "--out", tmp_path / "g.csv"),
             "evaluate": (workspace / "data.csv", workspace / "data.csv",

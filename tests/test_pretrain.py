@@ -4,7 +4,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 from scipy.linalg import eig
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import eigsh
+from scipy.spatial.distance import pdist, squareform
 from scipy.stats import spearmanr
 
 from nifa.model import DataMatrix, rank_transform, spline_basis
@@ -53,6 +54,33 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel_matrix(DataMatrix(np.eye(3)), 0.0)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 7), (9, 4), (257, 10), (700, 3)])
+    def test_bitwise_the_pdist_kernel(self, shape):
+        # 700 rows span several row blocks
+        x = np.random.default_rng(sum(shape)).standard_normal(shape)
+        eps = 0.9
+        expected = np.exp(-squareform(pdist(x, "sqeuclidean")) / eps**2)
+        assert np.array_equal(kernel_matrix(DataMatrix(x), eps), expected)
+
+
+def tied_points():
+    """A 6 x 5 integer grid: 435 pairs (odd) and many equal distances."""
+    return np.array([[i, j] for i in range(6) for j in range(5)], dtype=float)
+
+
+class TestBandwidths:
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(30).standard_normal((5, 3)),     # 10 pairs, even
+        np.random.default_rng(31).standard_normal((300, 10)),  # 44,850 pairs, even
+        np.random.default_rng(32).standard_normal((701, 2)),   # several row blocks
+        tied_points(),
+        tied_points()[:-1],                                    # 406 pairs, even
+    ], ids=["5x3", "300x10", "701x2", "grid", "grid-minus-one"])
+    def test_defaults_equal_the_pdist_order_statistics(self, x):
+        d = pdist(x)
+        assert default_epsilon_dm(DataMatrix(x)) == np.median(d)
+        assert default_epsilon_local(x) == np.quantile(d, 0.10)
+
 
 def normalized_laplacian(kernel: np.ndarray, epsilon_dm: float) -> np.ndarray:
     """Oracle for diffusion_spectrum: the density-normalized graph Laplacian
@@ -67,11 +95,25 @@ def dense_spectrum(dm: DataMatrix, epsilon_dm: float, q: int):
     """Oracle for diffusion_spectrum: every eigenpair of the symmetric conjugate
     from a dense eigh on freshly allocated arrays, then the same ordering,
     scaling and sign convention."""
+    return oracle_spectrum(dm, epsilon_dm, q, np.linalg.eigh)
+
+
+def arpack_spectrum(dm: DataMatrix, epsilon_dm: float, q: int):
+    """Oracle for diffusion_spectrum: the q+1 leading eigenpairs of the same
+    symmetric conjugate from ARPACK (scipy's eigsh), from the same start vector."""
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, dm.n_rows)
+    return oracle_spectrum(dm, epsilon_dm, q,
+                           lambda sym: eigsh(sym, k=q + 1, which="LA", v0=v0))
+
+
+def oracle_spectrum(dm: DataMatrix, epsilon_dm: float, q: int, solve):
+    """The symmetric conjugate built densely, eigenpairs from solve(sym), then
+    diffusion_spectrum's ordering, scaling and sign convention."""
     kern = kernel_matrix(dm, epsilon_dm)
     d = kern.sum(axis=1)
     w = kern / np.outer(d, d)
     row = w.sum(axis=1)
-    s, psi = np.linalg.eigh(w / np.sqrt(np.outer(row, row)))
+    s, psi = solve(w / np.sqrt(np.outer(row, row)))
     order = np.argsort(s)[::-1][1 : q + 1]
     vecs = psi[:, order] / np.sqrt(row)[:, None]
     vecs = vecs / np.linalg.norm(vecs, axis=0)
@@ -138,18 +180,39 @@ class TestSpectrum:
         rho = abs(spearmanr(np.unwrap(phase), t).statistic)
         assert rho > 0.95
 
-    def test_arpack_matches_dense_oracle_and_repeats(self):
+    def test_lanczos_matches_dense_oracle_and_repeats(self):
         dm = gen_setting3(800, seed=21)
         mu, coords, solver = diffusion_spectrum(dm, 0.5, 5)
-        assert solver == "arpack"
+        assert solver == "lanczos"
         mu_dense, coords_dense = dense_spectrum(dm, 0.5, 5)
         assert np.allclose(mu, mu_dense, rtol=0, atol=1e-8)
         assert np.allclose(coords, coords_dense, rtol=0, atol=1e-8)
         mu2, coords2, _ = diffusion_spectrum(dm, 0.5, 5)
         assert np.array_equal(mu, mu2) and np.array_equal(coords, coords2)
 
+    @pytest.mark.parametrize("case", [
+        "circle40", "circle35", "circle80", "setting3-800", "setting3-200", "setting3-300",
+        "swiss-roll-300",
+    ])
+    def test_coordinates_match_arpack(self, case):
+        # the inputs diffusion_spectrum sees elsewhere in this file
+        dm, eps, q = {
+            "circle40": lambda: (circle_data(40, seed=5)[0], None, 4),
+            "circle35": lambda: (circle_data(35, seed=6)[0], None, 3),
+            "circle80": lambda: (circle_data(80, seed=9)[0], None, 2),
+            "setting3-800": lambda: (gen_setting3(800, seed=21), 0.5, 5),
+            "setting3-200": lambda: (gen_setting3(200, seed=23), 0.5, 5),
+            "setting3-300": lambda: (gen_setting3(300, seed=28), None, 5),
+            "swiss-roll-300": lambda: (gen_swiss_roll(300, seed=18)[0], 1.5, 5),
+        }[case]()
+        eps = eps or default_epsilon_dm(dm)
+        mu, coords, _ = diffusion_spectrum(dm, eps, q)
+        mu_arpack, coords_arpack = arpack_spectrum(dm, eps, q)
+        assert np.allclose(mu, mu_arpack, rtol=1e-10, atol=0)
+        assert np.allclose(coords, coords_arpack, rtol=0, atol=1e-10)
+
     def test_all_nontrivial_pairs_use_dense_without_warning(self):
-        # Q = N-1 asks for every eigenpair, which ARPACK cannot deliver
+        # Q = N-1 asks for every eigenpair, which a Krylov method need not deliver
         dm, _ = circle_data(12, seed=22)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -159,14 +222,10 @@ class TestSpectrum:
         assert np.allclose(mu, mu_dense, rtol=0, atol=1e-10)
         assert np.allclose(coords, coords_dense, rtol=0, atol=1e-10)
 
-    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
-        import scipy.sparse.linalg
+    def test_lanczos_failure_falls_back_to_dense(self, monkeypatch):
+        import nifa.pretrain
 
-        def no_convergence(matrix, k, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0),
-                                      np.empty((matrix.shape[0], 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(nifa.pretrain, "_lanczos", lambda *args: None)
         dm = gen_setting3(200, seed=23)
         cfg = DiffusionConfig(epsilon_dm=0.5)
         mu, coords, solver = diffusion_spectrum(dm, 0.5, cfg.Q)
@@ -179,12 +238,12 @@ class TestSpectrum:
     def test_disconnected_kernel_graph_rejected(self, monkeypatch):
         # at this bandwidth one point has no non-zero kernel entry besides its
         # own: it is a component of its own, rejected before any eigensolve
-        import scipy.sparse.linalg
+        import nifa.pretrain
 
         def must_not_run(*args, **kwargs):
             pytest.fail("an eigensolver ran on a kernel with an isolated point")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", must_not_run)
+        monkeypatch.setattr(nifa.pretrain, "_lanczos", must_not_run)
         monkeypatch.setattr(np.linalg, "eigh", must_not_run)
         dm = DataMatrix(np.random.default_rng(24).standard_normal((300, 3)))
         with pytest.raises(DegenerateGeometryError, match="epsilon_dm"):
@@ -197,6 +256,49 @@ class TestSpectrum:
         x[40:, 0] += 100.0
         with pytest.raises(DegenerateGeometryError, match="spectral gap"):
             diffusion_spectrum(DataMatrix(x), 1.0, 5)
+
+    def test_two_components_rejected_by_lanczos_at_large_n(self, monkeypatch):
+        # as above at N=2000, where the Krylov space is far smaller than N. A
+        # single start vector meets a repeated eigenvalue only through rounding;
+        # Lanczos runs on the complement of the trivial eigenvector, so it must
+        # find the second eigenvalue at 1 itself, without the dense fallback
+        rng = np.random.default_rng(25)
+        x = 0.3 * rng.standard_normal((2000, 3))
+        x[1000:, 0] += 100.0
+        dense = np.linalg.eigh
+
+        def no_dense(a, *args, **kwargs):
+            if a.shape[0] == 2000:
+                pytest.fail("the dense eigh ran")
+            return dense(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        with pytest.raises(DegenerateGeometryError, match="spectral gap"):
+            diffusion_spectrum(DataMatrix(x), 1.0, 5)
+
+    @pytest.mark.parametrize("q, solver", [(2, "lanczos"), (5, "dense")])
+    def test_krylov_space_that_closes_early(self, q, solver, monkeypatch):
+        # four distinct points, 50 copies each: the normalised kernel has rank 4,
+        # so the Krylov space closes after at most four vectors. With Q=2 the
+        # closed space holds the wanted pairs; with Q=5 it cannot, and the dense
+        # eigh runs. Either way no beta of zero is divided by.
+        import nifa.pretrain
+
+        steps = []
+        project_out = nifa.pretrain._project_out
+        monkeypatch.setattr(nifa.pretrain, "_project_out",
+                            lambda w, basis: steps.append(None) or project_out(w, basis))
+        x = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.5]], 50, axis=0)
+        dm = DataMatrix(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, coords, used = diffusion_spectrum(dm, 1.0, q)
+        assert used == solver
+        assert 1 < len(steps) <= 5
+        mu_dense, coords_dense = dense_spectrum(dm, 1.0, q)
+        assert np.allclose(mu, mu_dense, rtol=0, atol=1e-10)
+        if solver == "lanczos":
+            assert np.allclose(coords, coords_dense, rtol=0, atol=1e-10)
 
     def test_q_bounds(self):
         dm, _ = circle_data(10)
@@ -230,14 +332,15 @@ class TestLocalGeometry:
         assert np.all(np.diff(lam) <= 1e-12)
 
     def test_mean_eigenvalues_equal_per_point_loop(self):
-        # one batched eigensolve and a mean over points, bit for bit the same
-        # as accumulating each point's descending eigenvalues in turn
+        # scatter matrices from neighbour sums over row blocks agree with
+        # accumulating each point's descending eigenvalues in turn, to rounding
         rng = np.random.default_rng(26)
         coords = rng.standard_normal((200, 5)) * np.array([3.0, 2.0, 1.0, 0.5, 0.1])
         acc = np.zeros(5)
         for i in range(200):
             acc += np.linalg.eigvalsh(local_covariance(coords, i, 1.5))[::-1]
-        assert np.array_equal(mean_local_eigenvalues(coords, 1.5), acc / 200)
+        np.testing.assert_allclose(mean_local_eigenvalues(coords, 1.5), acc / 200,
+                                   rtol=1e-13, atol=0)
 
     def test_dimension_literal_rule(self):
         # isotropic 2-plane inside 4 dims: ratio rule fires at k=1 only
