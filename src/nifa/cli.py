@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
@@ -15,7 +14,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import metrics, postprocess, pretrain, runio, sampler, simulate
-from .model import DataMatrix, FactorAssignment, Hyperparameters
+from .model import DataMatrix, FactorAssignment, Hyperparameters, usable_cpus
 
 
 class UsageError(Exception):
@@ -74,12 +73,6 @@ def _cmd_pretrain(args) -> int:
         for m, (lam, ratio) in enumerate(zip(decisions["mean_local_eigenvalues"], ratios)):
             print(f"  rank {m + 1}: {lam:.6g}  ratio-to-next {ratio:.4f}")
     return 0
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _fit_chain(data: DataMatrix, anchor: pretrain.AnchorSet, hp: Hyperparameters,
@@ -145,7 +138,7 @@ def _cmd_fit(args) -> int:
     # workers before it starts its own thread. Nothing is printed before the
     # fork, and the flush keeps a worker from writing a caller's buffered output
     # a second time when it exits.
-    slots = min(n, _usable_cpus())
+    slots = min(n, usable_cpus())
     pool = None
     if slots > 1:
         sys.stdout.flush()

@@ -9,6 +9,7 @@ the intercepts.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
 
@@ -30,6 +31,14 @@ def is_finite_number(value) -> bool:
                 and not isinstance(value, bool) and math.isfinite(value))
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one (so ``taskset`` limits it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def check_config_fields(config) -> None:

@@ -3,11 +3,15 @@ anchor-column extraction, and anchor residual-variance estimation."""
 
 from __future__ import annotations
 
+import math
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .model import DataMatrix, ShapeError, check_config_fields, rank_transform, spline_design
+from .model import (DataMatrix, ShapeError, check_config_fields, rank_transform, spline_design,
+                    usable_cpus)
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -74,11 +78,55 @@ class AnchorSet:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _row_blocks(n: int):
-    """(lo, hi) bounds of consecutive row blocks of an n x n computation."""
-    step = max(1, _BLOCK_ENTRIES // n)
+def _row_blocks(n: int, multiple: int = 1):
+    """(lo, hi) bounds of consecutive row blocks of an n x n computation, each
+    but the last a multiple of `multiple` rows high."""
+    step = -(-max(1, _BLOCK_ENTRIES // n) // multiple) * multiple
     for lo in range(0, n, step):
         yield lo, min(lo + step, n)
+
+
+class _Threads:
+    """The calling thread and one pool thread per further usable CPU, sharing
+    the row blocks of each pass. It is opened in a with-block around the passes
+    of one public call, so no thread outlives the call; the pool threads run
+    private helpers only."""
+
+    def __init__(self):
+        self._helpers = usable_cpus() - 1
+        self._pool = ThreadPoolExecutor(self._helpers) if self._helpers else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def each_block(self, fn, n: int, multiple: int = 1) -> None:
+        """fn(lo, hi) for every block of _row_blocks(n, multiple), each on
+        whichever thread is free. The blocks do not depend on the thread count
+        and each call writes rows of its own, so neither does the result;
+        numpy releases the interpreter lock inside each block."""
+        blocks = list(_row_blocks(n, multiple))
+        todo = iter(blocks)
+        lock = threading.Lock()
+
+        def work():
+            while True:
+                with lock:
+                    block = next(todo, None)
+                if block is None:
+                    return
+                fn(*block)
+
+        helpers = [self._pool.submit(work) for _ in range(min(self._helpers, len(blocks) - 1))]
+        try:
+            work()
+        finally:
+            wait(helpers)
+        for helper in helpers:
+            helper.result()
 
 
 def _squared_distances(points_t: np.ndarray, rows: slice, cols: slice = slice(None),
@@ -106,9 +154,12 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
     points_t = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     n = points_t.shape[1]
     out = np.empty(n * (n - 1) // 2)
-    at = 0
-    for lo, hi in _row_blocks(n):
-        # the pairs within the block, then those with every later point
+
+    def block(lo, hi):
+        # the pairs (i, j) with lo <= i < hi and i < j, stored after the pairs
+        # of the points before lo: first those within the block, then those
+        # with the points after it
+        start = at = lo * n - lo * (lo + 1) // 2
         within = _squared_distances(points_t, slice(lo, hi), slice(lo, hi))
         within = within[np.triu_indices(hi - lo, 1)]
         out[at : at + within.size] = within
@@ -116,7 +167,11 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
         later = out[at : at + (hi - lo) * (n - hi)].reshape(hi - lo, n - hi)
         _squared_distances(points_t, slice(lo, hi), slice(hi, None), out=later)
         at += later.size
-    return np.sqrt(out, out=out)
+        np.sqrt(out[start:at], out=out[start:at])
+
+    with _Threads() as threads:
+        threads.each_block(block, n)
+    return out
 
 
 def kernel_matrix(data: DataMatrix, epsilon_dm: float) -> np.ndarray:
@@ -126,10 +181,14 @@ def kernel_matrix(data: DataMatrix, epsilon_dm: float) -> np.ndarray:
     x_t = np.ascontiguousarray(data.values.T)
     n = data.n_rows
     kern = np.empty((n, n))
-    for lo, hi in _row_blocks(n):
-        block = _squared_distances(x_t, slice(lo, hi), out=kern[lo:hi])
-        np.divide(block, -epsilon_dm**2, out=block)
-        np.exp(block, out=block)
+
+    def block(lo, hi):
+        rows = _squared_distances(x_t, slice(lo, hi), out=kern[lo:hi])
+        np.divide(rows, -epsilon_dm**2, out=rows)
+        np.exp(rows, out=rows)
+
+    with _Threads() as threads:
+        threads.each_block(block, n)
     return kern
 
 
@@ -142,8 +201,21 @@ def default_epsilon_dm(data: DataMatrix) -> float:
 
 
 def default_epsilon_local(coords: np.ndarray) -> float:
-    """10th percentile of pairwise distances among embedded coordinates."""
-    q = float(np.quantile(_pairwise_distances(coords), 0.10, overwrite_input=True))
+    """10th percentile of pairwise distances among embedded coordinates.
+
+    Bitwise ``np.quantile(d, 0.10)``: its linear rule interpolates between the
+    order statistics lo and lo + 1 at virtual index (m - 1) * 0.10, found here
+    by one partition at lo and the minimum of the part above it.
+    """
+    d = _pairwise_distances(coords)
+    at = (d.size - 1) * 0.10
+    lo = math.floor(at)
+    t = at - lo
+    d.partition(lo)
+    a = d[lo]
+    b = d[lo + 1 :].min() if lo + 1 < d.size else a
+    # numpy's _lerp, which interpolates back from b when t >= 0.5
+    q = float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
     if q <= 0:
         raise DegenerateGeometryError("local radius collapsed to zero")
     return q
@@ -160,14 +232,43 @@ _GAP_TOL = 1e-10
 _KRYLOV_START = 40
 _KRYLOV_MAX = 160
 _RITZ_TOL = 1e-10
+# the Lanczos matvec cuts the matrix into blocks of a multiple of this many rows.
+# A cut at a multiple of 64 rows keeps every bit of the whole product (OpenBLAS's
+# dgemv gives some rows other last bits when cut elsewhere), and numpy releases
+# the interpreter lock in a matrix-vector product only above 500 result rows.
+_MATVEC_ROWS = 512
 
 
-def _divide_by_outer(matrix: np.ndarray, v: np.ndarray, root: bool = False) -> None:
+def _row_sums(matrix: np.ndarray, threads: _Threads) -> np.ndarray:
+    """matrix.sum(axis=1), row block by row block; bitwise the same."""
+    sums = np.empty(matrix.shape[0])
+    threads.each_block(lambda lo, hi: np.sum(matrix[lo:hi], axis=1, out=sums[lo:hi]),
+                       sums.size)
+    return sums
+
+
+def _divide_by_outer(matrix: np.ndarray, v: np.ndarray, threads: _Threads,
+                     root: bool = False, sums: np.ndarray | None = None) -> None:
     """In place, matrix /= outer(v, v) (or its square root), row block by row
-    block; bitwise the same as the whole-matrix expression."""
-    for lo, hi in _row_blocks(v.size):
+    block; bitwise the same as the whole-matrix expression. A given ``sums``
+    receives the row sums of the result, each taken while its block is in cache."""
+
+    def block(lo, hi):
         outer = np.outer(v[lo:hi], v)
-        matrix[lo:hi] /= np.sqrt(outer, out=outer) if root else outer
+        rows = matrix[lo:hi]
+        rows /= np.sqrt(outer, out=outer) if root else outer
+        if sums is not None:
+            np.sum(rows, axis=1, out=sums[lo:hi])
+
+    threads.each_block(block, v.size)
+
+
+def _matvec(matrix: np.ndarray, v: np.ndarray, threads: _Threads) -> np.ndarray:
+    """matrix @ v, row block by row block; bitwise the same."""
+    out = np.empty(matrix.shape[0])
+    threads.each_block(lambda lo, hi: np.matmul(matrix[lo:hi], v, out=out[lo:hi]),
+                       out.size, _MATVEC_ROWS)
+    return out
 
 
 def _project_out(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -180,7 +281,7 @@ def _project_out(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return coef + again
 
 
-def _lanczos(sym: np.ndarray, k: int, top: np.ndarray):
+def _lanczos(sym: np.ndarray, k: int, top: np.ndarray, threads: _Threads):
     """The k largest eigenpairs of sym on the orthogonal complement of its unit
     eigenvector top, as (values descending, vectors as columns), or None.
 
@@ -206,7 +307,7 @@ def _lanczos(sym: np.ndarray, k: int, top: np.ndarray):
     m, size, closed = 0, _KRYLOV_START, False
     while True:
         while m < min(size, limit) and not closed:
-            w = sym @ basis[m + 1]
+            w = _matvec(sym, basis[m + 1], threads)
             alpha[m] = _project_out(w, basis[: m + 2])[m + 1]
             beta[m] = np.linalg.norm(w)
             m += 1
@@ -226,12 +327,12 @@ def _lanczos(sym: np.ndarray, k: int, top: np.ndarray):
         size *= 2
 
 
-def _leading_eigenpairs(sym: np.ndarray, k: int, top: np.ndarray):
+def _leading_eigenpairs(sym: np.ndarray, k: int, top: np.ndarray, threads: _Threads):
     """The k largest eigenpairs of a symmetric matrix whose largest eigenvalue is
     1 with unit eigenvector top, as (values, vectors, solver): Lanczos on top's
     orthogonal complement ("lanczos"), otherwise dense eigh ("dense")."""
     if k < sym.shape[0]:
-        pairs = _lanczos(sym, k - 1, top)
+        pairs = _lanczos(sym, k - 1, top, threads)
         if pairs is not None:
             s, psi = pairs
             return np.concatenate([[1.0], s]), np.column_stack([top, psi]), "lanczos"
@@ -254,24 +355,25 @@ def diffusion_spectrum(data: DataMatrix, epsilon_dm: float, Q: int):
     # the kernel is normalised in place: K -> W = K / (d d^T) -> D^-1/2 W D^-1/2,
     # the symmetric conjugate of the transition matrix D^-1 W
     sym = kernel_matrix(data, epsilon_dm)
-    d = sym.sum(axis=1)
-    if np.any(d <= 0):
-        raise DegenerateGeometryError("kernel has a zero row sum")
-    # a row whose only non-zero entry is its unit diagonal is a component of its
-    # own, so eigenvalue 1 is repeated; reject it before any eigensolve
-    isolated = next((i for i in np.flatnonzero(d == 1.0) if np.count_nonzero(sym[i]) == 1),
-                    None)
-    if isolated is not None:
-        raise DegenerateGeometryError(
-            f"kernel graph is disconnected at epsilon_dm={epsilon_dm:.6g} "
-            f"(point {isolated} has no neighbour); increase epsilon_dm"
-        )
-    _divide_by_outer(sym, d)
-    row = sym.sum(axis=1)
-    _divide_by_outer(sym, row, root=True)
-    # sym sqrt(row) = sqrt(row): the trivial pair of the conjugate, known exactly
-    root = np.sqrt(row)
-    s, psi, solver = _leading_eigenpairs(sym, Q + 1, root / np.linalg.norm(root))
+    with _Threads() as threads:
+        d = _row_sums(sym, threads)
+        if np.any(d <= 0):
+            raise DegenerateGeometryError("kernel has a zero row sum")
+        # a row whose only non-zero entry is its unit diagonal is a component of
+        # its own, so eigenvalue 1 is repeated; reject it before any eigensolve
+        isolated = next((i for i in np.flatnonzero(d == 1.0) if np.count_nonzero(sym[i]) == 1),
+                        None)
+        if isolated is not None:
+            raise DegenerateGeometryError(
+                f"kernel graph is disconnected at epsilon_dm={epsilon_dm:.6g} "
+                f"(point {isolated} has no neighbour); increase epsilon_dm"
+            )
+        row = np.empty_like(d)
+        _divide_by_outer(sym, d, threads, sums=row)
+        _divide_by_outer(sym, row, threads, root=True)
+        # sym sqrt(row) = sqrt(row): the trivial pair of the conjugate, known exactly
+        root = np.sqrt(row)
+        s, psi, solver = _leading_eigenpairs(sym, Q + 1, root / np.linalg.norm(root), threads)
     # s descending in the transition operator means mu = (1 - s)/eps^2 ascending.
     order = np.argsort(s)[::-1][: Q + 1]
     s = s[order]
@@ -294,24 +396,14 @@ def diffusion_spectrum(data: DataMatrix, epsilon_dm: float, Q: int):
     return mu, coords, solver
 
 
-def local_covariance(coords: np.ndarray, i: int, epsilon_local: float) -> np.ndarray:
-    """Neighborhood scatter matrix at point i, averaged over all N points."""
-    if epsilon_local <= 0:
-        raise ValueError("epsilon_local must be positive")
-    coords = np.asarray(coords, dtype=float)
-    diffs = coords[i] - coords
-    # neighbours by the distance pdist computes, as in mean_local_eigenvalues
-    sq = _squared_distances(np.ascontiguousarray(coords.T), slice(i, i + 1))[0]
-    sel = diffs[np.sqrt(sq) <= epsilon_local]
-    return sel.T @ sel / coords.shape[0]
-
-
 def mean_local_eigenvalues(coords: np.ndarray, epsilon_local: float) -> np.ndarray:
     """Per-rank means of local-covariance eigenvalues, sorted descending.
 
-    Each point's local_covariance comes from three sums over its neighbours j,
-    taken for a row block of points at once: the count n_i, s_i = sum c_j and
-    S_i = sum c_j c_j^T give n_i c_i c_i^T - c_i s_i^T - s_i c_i^T + S_i.
+    Point i's local covariance is the scatter sum (c_i - c_j)(c_i - c_j)^T over
+    its neighbours j (the points within epsilon_local), divided by N. It comes
+    from three sums over the neighbours, taken for a row block of points at
+    once: the count n_i, s_i = sum c_j and S_i = sum c_j c_j^T give
+    n_i c_i c_i^T - c_i s_i^T - s_i c_i^T + S_i.
     """
     if epsilon_local <= 0:
         raise ValueError("epsilon_local must be positive")
@@ -322,17 +414,22 @@ def mean_local_eigenvalues(coords: np.ndarray, epsilon_local: float) -> np.ndarr
     c = coords - coords.mean(axis=0)
     # a neighbour j contributes 1, c_j and c_j c_j^T: one product gives all sums
     terms = np.column_stack([np.ones(n), c, (c[:, :, None] * c[:, None, :]).reshape(n, q * q)])
-    covs = np.empty((n, q, q))
-    for lo, hi in _row_blocks(n):
+    eigenvalues = np.empty((n, q))
+
+    def block(lo, hi):
         near = np.sqrt(_squared_distances(coords_t, slice(lo, hi))) <= epsilon_local
         sums = near.astype(float) @ terms
         count, first = sums[:, 0, None, None], sums[:, 1 : q + 1]
         own = c[lo:hi]
         cross = own[:, :, None] * first[:, None, :]
-        covs[lo:hi] = (count * own[:, :, None] * own[:, None, :] - cross
-                       - cross.transpose(0, 2, 1) + sums[:, q + 1 :].reshape(-1, q, q))
-    covs /= n
-    return np.linalg.eigvalsh(covs)[:, ::-1].mean(axis=0)
+        covs = (count * own[:, :, None] * own[:, None, :] - cross
+                - cross.transpose(0, 2, 1) + sums[:, q + 1 :].reshape(-1, q, q))
+        covs /= n
+        eigenvalues[lo:hi] = np.linalg.eigvalsh(covs)
+
+    with _Threads() as threads:
+        threads.each_block(block, n)
+    return eigenvalues[:, ::-1].mean(axis=0)
 
 
 def estimate_dimension(mean_eigenvalues: np.ndarray, delta: float) -> int:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import nifa
-from nifa.cli import _usable_cpus, build_parser, main
-from nifa.model import Hyperparameters
+from nifa.cli import build_parser, main
+from nifa.model import Hyperparameters, usable_cpus
 from nifa.pretrain import DiffusionConfig
 from nifa.runio import load_anchor_set, load_chain, load_json, load_matrix, save_matrix
 
@@ -374,7 +374,7 @@ class TestParallelChains:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(nifa.cli, "ProcessPoolExecutor", no_pool)
-        assert _usable_cpus() == 1
+        assert usable_cpus() == 1
         assert run("fit", "--input", workspace / "data.csv", "--anchor-dir",
                    workspace / "anchors", "--out", tmp_path, "--chains", "3", *CHAIN_ARGS) == 0
         assert chain_files(tmp_path, 3) == chain_files(parallel_chains[0], 3)
@@ -382,7 +382,7 @@ class TestParallelChains:
     @pytest.mark.parametrize("failure, message", [
         (np.linalg.LinAlgError("singular"), "chain 1: singular"),
         pytest.param(None, "chain 1: ", marks=pytest.mark.skipif(
-            _usable_cpus() < 2, reason="chain 1 runs in a worker only with 2+ CPUs")),
+            usable_cpus() < 2, reason="chain 1 runs in a worker only with 2+ CPUs")),
     ], ids=["linalg_error", "worker_death"])
     def test_failing_chain_is_named_and_exits_1(self, workspace, tmp_path, monkeypatch,
                                                 capsys, failure, message):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nifa.model import (
     spline_basis,
     spline_design,
     spline_piece,
+    usable_cpus,
 )
 
 
@@ -246,3 +249,17 @@ class TestHyperparameters:
                              L=np.int64(8), mala_step=1, iterations=np.int32(20),
                              burn_in=np.uint8(10), thin=np.int16(2), seed=np.int64(4))
         assert hp.L == 8 and hp.iterations == 20 and hp.nu == 0
+
+
+class TestUsableCpus:
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}, {3, 5}])
+    def test_counts_the_affinity_set(self, cpus, monkeypatch):
+        # what `taskset` sets; both fit's chain pool and pretraining read it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert usable_cpus() == len(cpus)
+
+    @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
+    def test_without_affinity_counts_every_cpu(self, count, expected, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert usable_cpus() == expected

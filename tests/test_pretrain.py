@@ -1,4 +1,8 @@
+import os
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -20,7 +24,6 @@ from nifa.pretrain import (
     diffusion_spectrum,
     estimate_dimension,
     kernel_matrix,
-    local_covariance,
     mean_local_eigenvalues,
     run_pretraining,
 )
@@ -70,12 +73,14 @@ def tied_points():
 
 class TestBandwidths:
     @pytest.mark.parametrize("x", [
+        np.random.default_rng(33).standard_normal((2, 3)),     # 1 pair
+        np.random.default_rng(34).standard_normal((3, 2)),     # 3 pairs, odd
         np.random.default_rng(30).standard_normal((5, 3)),     # 10 pairs, even
         np.random.default_rng(31).standard_normal((300, 10)),  # 44,850 pairs, even
         np.random.default_rng(32).standard_normal((701, 2)),   # several row blocks
         tied_points(),
         tied_points()[:-1],                                    # 406 pairs, even
-    ], ids=["5x3", "300x10", "701x2", "grid", "grid-minus-one"])
+    ], ids=["2x3", "3x2", "5x3", "300x10", "701x2", "grid", "grid-minus-one"])
     def test_defaults_equal_the_pdist_order_statistics(self, x):
         d = pdist(x)
         assert default_epsilon_dm(DataMatrix(x)) == np.median(d)
@@ -311,6 +316,16 @@ class TestSpectrum:
             default_epsilon_dm(dm)
 
 
+def local_covariance(coords: np.ndarray, i: int, epsilon_local: float) -> np.ndarray:
+    """Oracle for mean_local_eigenvalues: the scatter matrix of point i's
+    neighbours about it, averaged over all N points. Each distance sums the
+    squared differences feature by feature, as mean_local_eigenvalues does, so
+    the two agree on which points lie within epsilon_local."""
+    diffs = coords[i] - coords
+    sel = diffs[np.sqrt(np.sum(diffs**2, axis=1)) <= epsilon_local]
+    return sel.T @ sel / coords.shape[0]
+
+
 class TestLocalGeometry:
     def test_local_covariance_brute_force(self):
         rng = np.random.default_rng(10)
@@ -499,3 +514,90 @@ class TestPipeline:
     def test_default_epsilon_local_positive(self):
         rng = np.random.default_rng(20)
         assert default_epsilon_local(rng.standard_normal((30, 2))) > 0
+
+
+def set_usable_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def pretraining_outputs(dm: DataMatrix, monkeypatch) -> dict:
+    """Every result of the row-block passes on dm, the dense eigensolve's included."""
+    import nifa.pretrain
+
+    mu, coords, solver = diffusion_spectrum(dm, 0.5, 5)
+    eps_local = default_epsilon_local(coords)
+    anchor, decisions = run_pretraining(dm, DiffusionConfig(), 10)
+    with monkeypatch.context() as patch:
+        patch.setattr(nifa.pretrain, "_lanczos", lambda *args: None)
+        mu_dense, coords_dense, dense = diffusion_spectrum(dm, 0.5, 5)
+    assert (solver, dense, decisions["eigensolver"]) == ("lanczos", "dense", "lanczos")
+    return {"kernel": kernel_matrix(dm, 0.5), "epsilon_dm": default_epsilon_dm(dm),
+            "mu": mu, "coords": coords, "epsilon_local": eps_local,
+            "mean_local": mean_local_eigenvalues(coords, eps_local),
+            "mu_dense": mu_dense, "coords_dense": coords_dense,
+            "anchors": anchor.coordinates, "variances": anchor.residual_variances,
+            **{f"decisions.{k}": v for k, v in decisions.items() if k != "config"},
+            **{f"config.{k}": v for k, v in decisions["config"].items()}}
+
+
+class TestThreads:
+    # neither N is a multiple of 4 (OpenBLAS's row groups) nor of a block height
+    @pytest.mark.parametrize("n", [701, 1603])
+    def test_outputs_do_not_depend_on_the_thread_count(self, n, monkeypatch):
+        import nifa.pretrain
+
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(nifa.pretrain, "ThreadPoolExecutor", RecordingPool)
+        dm = gen_setting3(n, seed=n)
+        outputs = {}
+        for cpus in (1, 2, 3):
+            set_usable_cpus(monkeypatch, cpus)
+            pools.clear()
+            outputs[cpus] = pretraining_outputs(dm, monkeypatch)
+            # one calling thread and cpus - 1 pool threads, or no pool at all
+            assert set(pools) == (set() if cpus == 1 else {cpus - 1})
+        for cpus in (2, 3):
+            assert outputs[cpus].keys() == outputs[1].keys()
+            for key, expected in outputs[1].items():
+                assert np.array_equal(outputs[cpus][key], expected), (cpus, key)
+
+    def test_no_thread_outlives_run_pretraining(self, monkeypatch):
+        import nifa.pretrain
+
+        squared_distances = nifa.pretrain._squared_distances
+        during = []
+
+        def counting(*args, **kwargs):
+            during.append(threading.active_count())
+            return squared_distances(*args, **kwargs)
+
+        monkeypatch.setattr(nifa.pretrain, "_squared_distances", counting)
+        set_usable_cpus(monkeypatch, 3)
+        before = threading.active_count()
+        run_pretraining(gen_setting3(701, seed=3), DiffusionConfig(), 10)
+        assert max(during) > before
+        assert threading.active_count() == before
+
+    def test_a_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
+        import nifa.pretrain
+
+        squared_distances = nifa.pretrain._squared_distances
+
+        def fails_off_the_calling_thread(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.2)  # leaves the other blocks to the pool threads
+                return squared_distances(*args, **kwargs)
+            raise MemoryError("block failed")
+
+        monkeypatch.setattr(nifa.pretrain, "_squared_distances", fails_off_the_calling_thread)
+        set_usable_cpus(monkeypatch, 3)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="block failed"):
+            kernel_matrix(DataMatrix(np.random.default_rng(35).standard_normal((400, 3))), 1.0)
+        assert threading.active_count() == before
