@@ -14,9 +14,11 @@ Each block takes the arrays it reads and returns the ones it updates.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
+from statistics import NormalDist
 
 import numpy as np
 
@@ -271,14 +273,24 @@ def spline_posterior(
     return prec, lin
 
 
-def _truncated_standard_normal(rng: np.random.Generator, lower: float, ndtr, ndtri) -> float:
-    """Standard normal conditioned on being >= lower; ndtr and ndtri are the
-    normal CDF and its inverse from scipy.special. Takes one ``rng.random()``
-    by inversion, or one ``rng.standard_exponential()`` in the far tail."""
+_SQRT2 = math.sqrt(2.0)
+_normal_quantile = NormalDist().inv_cdf  # Wichura's AS 241
+
+
+def _truncated_standard_normal(rng: np.random.Generator, lower: float) -> float:
+    """Standard normal conditioned on being >= lower. Takes one ``rng.random()``
+    by inversion of the normal CDF, or one ``rng.standard_exponential()`` in
+    the far tail.
+
+    The probability handed to the quantile is kept strictly inside (0, 1),
+    where the quantile is finite: it would be 0 when the CDF underflows (lower
+    below about -38.5) and the uniform is 0, so it is raised to 5e-324, the
+    smallest positive double.
+    """
     if lower < 6.0:
-        a = float(ndtr(lower))
+        a = 0.5 * math.erfc(-lower / _SQRT2)
         p = a + rng.random() * (1.0 - a)
-        return float(ndtri(min(p, 1.0 - 1e-16)))
+        return _normal_quantile(min(max(p, 5e-324), 1.0 - 1e-16))
     # far tail: exponential approximation is numerically exact here
     return lower + rng.standard_exponential() / lower
 
@@ -307,8 +319,6 @@ def sample_spline_coefficients(
     evaluates the factors g(u) once, in the latent-location update. The
     block reads the designs of u from ``geometry`` (see spline_posterior).
     """
-    from scipy.special import ndtr, ndtri
-
     prec, lin = spline_posterior(loadings, residual_variances, geometry, assignment, data, hp)
     width, h = coefficients.shape
     diag = prec.diagonal()
@@ -325,7 +335,7 @@ def sample_spline_coefficients(
         for c, row, pcc, sd, lin_c in terms:
             mean = (lin_c - float(row.dot(beta)) + pcc * current[c]) / pcc
             if c % width:
-                b = mean + sd * _truncated_standard_normal(rng, -mean / sd, ndtr, ndtri)
+                b = mean + sd * _truncated_standard_normal(rng, -mean / sd)
             else:
                 b = mean + sd * rng.standard_normal()
             beta[c] = current[c] = b

@@ -673,29 +673,25 @@ def scipy_modules_after(*args):
 
 
 class TestStartup:
-    """Only fit imports scipy; the other stages start on numpy alone."""
+    """No stage imports scipy: `import nifa` and all six stages start on numpy
+    alone."""
 
     def test_import_loads_no_scipy(self):
         assert scipy_modules_after() == set()
 
-    @pytest.mark.parametrize("command",
-                             ["simulate", "pretrain", "postprocess", "generate", "evaluate"])
+    @pytest.mark.parametrize("command", ["simulate", "pretrain", "fit", "postprocess",
+                                         "generate", "evaluate"])
     def test_stage_loads_no_scipy(self, workspace, tmp_path, command):
         args = {
             "simulate": ("--setting", "3", "--n", "20", "--out", tmp_path / "d.csv"),
             "pretrain": ("--input", workspace / "data.csv", "--out-dir", tmp_path / "a",
                          "--pieces", "8"),
+            "fit": ("--input", workspace / "data.csv", "--anchor-dir", workspace / "anchors",
+                    "--out", tmp_path / "fit", "--iterations", "20", "--burn-in", "10",
+                    "--pieces", "8"),
             "postprocess": (workspace / "run",),
             "generate": (workspace / "run", "--n", "5", "--out", tmp_path / "g.csv"),
             "evaluate": (workspace / "data.csv", workspace / "data.csv",
                          "--projections", "5"),
         }[command]
         assert scipy_modules_after(command, *args) == set()
-
-    def test_fit_loads_no_sparse_or_spatial(self, workspace, tmp_path):
-        loaded = scipy_modules_after("fit", "--input", workspace / "data.csv", "--anchor-dir",
-                                     workspace / "anchors", "--out", tmp_path / "fit",
-                                     "--iterations", "20", "--burn-in", "10", "--pieces", "8")
-        assert "scipy.special" in loaded
-        assert not {m for m in loaded
-                    if m.split(".")[:2] in (["scipy", "sparse"], ["scipy", "spatial"])}

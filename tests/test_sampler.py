@@ -1,4 +1,6 @@
+import math
 from functools import cached_property, partial
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -61,9 +63,9 @@ def reference_uniform_penalty_gradient(u_col):
 
 def reference_spline_draw(coefficients, prec, lin, rng):
     """The coordinate Gibbs draw written on numpy scalars with rng.uniform and
-    rng.exponential: the loop that sample_spline_coefficients must reproduce
-    draw for draw. Returns the draw and the standardized lower bound of every
-    slope draw."""
+    rng.exponential, and a fresh NormalDist for the quantile: the loop that
+    sample_spline_coefficients must reproduce draw for draw. Returns the draw
+    and the standardized lower bound of every slope draw."""
     width, h = coefficients.shape
     beta = coefficients.T.flatten()
     is_slope = (np.arange(beta.size) % width) != 0
@@ -78,9 +80,9 @@ def reference_spline_draw(coefficients, prec, lin, rng):
                 lower = -mean / sd
                 lowers.append(lower)
                 if lower < 6.0:
-                    a = ndtr(lower)
+                    a = 0.5 * math.erfc(-lower / math.sqrt(2))
                     p = a + rng.uniform() * (1.0 - a)
-                    z = float(ndtri(min(p, 1.0 - 1e-16)))
+                    z = NormalDist().inv_cdf(min(max(p, 5e-324), 1.0 - 1e-16))
                 else:
                     z = lower + rng.exponential() / lower
                 beta[c] = mean + sd * z
@@ -538,12 +540,21 @@ class TestSplineBlock:
         assert est[1] == pytest.approx(m1, abs=0.05)
 
 
+class FixedUniform:
+    """A generator stub whose every ``random()`` returns one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
 class TestTruncatedNormal:
     @pytest.mark.parametrize("lower", [-1.5, 0.0, 2.0])
     def test_moments_match_scipy(self, lower):
         rng = np.random.default_rng(17)
-        draws = np.array([_truncated_standard_normal(rng, lower, ndtr, ndtri)
-                          for _ in range(20000)])
+        draws = np.array([_truncated_standard_normal(rng, lower) for _ in range(20000)])
         ref = truncnorm(lower, np.inf)
         assert np.all(draws >= lower)
         assert draws.mean() == pytest.approx(ref.mean(), abs=5 * ref.std() / np.sqrt(20000))
@@ -551,11 +562,30 @@ class TestTruncatedNormal:
 
     def test_far_tail(self):
         rng = np.random.default_rng(18)
-        draws = np.array([_truncated_standard_normal(rng, 8.0, ndtr, ndtri)
-                          for _ in range(5000)])
+        draws = np.array([_truncated_standard_normal(rng, 8.0) for _ in range(5000)])
         assert np.all(draws >= 8.0)
         # conditional excess over the boundary is approximately Exp(8)
         assert (draws - 8.0).mean() == pytest.approx(1 / 8.0, rel=0.1)
+
+    @pytest.mark.parametrize("lower, uniform", [(-40.0, 0.0), (0.0, 1.0 - 2.0**-53)])
+    def test_extreme_uniform_gives_finite_draw(self, lower, uniform):
+        # at lower = -40 the CDF underflows to 0, so a zero uniform makes p = 0;
+        # at lower = 0 the largest uniform below 1 rounds p up to 1
+        z = _truncated_standard_normal(FixedUniform(uniform), lower)
+        assert math.isfinite(z)
+        assert z >= lower
+
+    def test_normal_cdf_and_quantile_match_scipy(self):
+        # the normal CDF as the sampler computes it, from math.erfc
+        x = np.linspace(-8.0, 6.0, 20001)
+        cdf = np.array([0.5 * math.erfc(-v / nifa.sampler._SQRT2) for v in x])
+        assert np.max(np.abs(cdf - ndtr(x)) / ndtr(x)) <= 1e-13
+        # its inverse, statistics.NormalDist().inv_cdf, away from p = 1/2 where
+        # both are near zero and a relative error means nothing
+        p = np.concatenate([np.logspace(-300, np.log10(0.49), 20000),
+                            1.0 - np.logspace(-16, np.log10(0.49), 20000)])
+        quantile = np.array([nifa.sampler._normal_quantile(float(v)) for v in p])
+        assert np.max(np.abs(quantile - ndtri(p)) / np.abs(ndtri(p))) <= 1e-13
 
 
 class TestULogTarget:
