@@ -4,17 +4,17 @@ evaluate. Exit codes: 0 success, 1 numerical failure, 2 usage/input error."""
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
 
+# the package loads these on first use, so each command runs only its own
 from . import metrics, postprocess, pretrain, runio, sampler, simulate
-from .model import DataMatrix, FactorAssignment, Hyperparameters, usable_cpus
+from .model import (AnchorSet, DataMatrix, DegenerateLoadingError, DiffusionConfig,
+                    FactorAssignment, Hyperparameters, usable_cpus)
 
 
 class UsageError(Exception):
@@ -62,7 +62,7 @@ def _cmd_pretrain(args) -> int:
                              f"{data.n_rows}")
         anchor, decisions = pretrain.anchor_set(coords, args.L, "external"), {}
     else:
-        cfg = _config(pretrain.DiffusionConfig, args)
+        cfg = _config(DiffusionConfig, args)
         anchor, decisions = pretrain.run_pretraining(data, cfg, args.L)
     runio.save_anchor_set(Path(args.out_dir), anchor, {"pieces": args.L, **decisions})
     print(f"{anchor.source} anchors: selected K={anchor.n_anchors}")
@@ -75,7 +75,7 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _fit_chain(data: DataMatrix, anchor: pretrain.AnchorSet, hp: Hyperparameters,
+def _fit_chain(data: DataMatrix, anchor: AnchorSet, hp: Hyperparameters,
                assignment: FactorAssignment, chain_dir: Path) -> tuple[int, float]:
     """Run one chain and save it; returns (retained draws, MALA acceptance)."""
     # through the module attribute, so a patched run_chain also runs in forked workers
@@ -134,13 +134,17 @@ def _cmd_fit(args) -> int:
             for c in range(n)]
     # S = min(chains, usable CPUs) slots: this process runs chains 0, S, 2S, ...
     # and S - 1 forked workers run the rest. A forked worker skips the package
-    # import and inherits any patched module attribute; the pool forks all its
-    # workers before it starts its own thread. Nothing is printed before the
-    # fork, and the flush keeps a worker from writing a caller's buffered output
-    # a second time when it exits.
+    # import and inherits the loaded sampler and any patched module attribute;
+    # the pool forks all its workers before it starts its own thread. Nothing
+    # is printed before the fork, and the flush keeps a worker from writing a
+    # caller's buffered output a second time when it exits.
+    sampler.run_chain  # the first read runs the sampler module, before any fork
     slots = min(n, usable_cpus())
     pool = None
     if slots > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         sys.stdout.flush()
         sys.stderr.flush()
         pool = ProcessPoolExecutor(slots - 1, mp_context=multiprocessing.get_context("fork"))
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--anchors", default=None, help="externally computed anchor matrix")
     _add_config_options(p, Hyperparameters, ["L"])
-    _add_config_options(p, pretrain.DiffusionConfig)
+    _add_config_options(p, DiffusionConfig)
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("fit", help="run the posterior sampler")
@@ -307,7 +311,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # LinAlgError and DegenerateLoadingError subclass ValueError: catch them first
-    except (np.linalg.LinAlgError, postprocess.DegenerateLoadingError, RuntimeError,
+    except (np.linalg.LinAlgError, DegenerateLoadingError, RuntimeError,
             FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

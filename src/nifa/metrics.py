@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DataMatrix, DomainError, ShapeError, eta
-from .sampler import PosteriorChain
+from .model import DataMatrix, DomainError, PosteriorChain, ShapeError, eta
 
 
 def wasserstein2_1d(a: np.ndarray, b: np.ndarray) -> float:

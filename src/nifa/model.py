@@ -4,6 +4,16 @@ The generative model is x_i = Lambda * eta_i + eps_i with eta_ih = g_h(u_{i,k_h}
 where each g_h is a piecewise-linear map on [0,1] and the latent locations u are
 uniform on [0,1]. The H maps are held as one (L+1) x H coefficient matrix, row 0
 the intercepts.
+
+Every type that crosses a module or a run directory lives here: the data, the
+factor assignment, both configurations (``Hyperparameters`` for the sampler,
+``DiffusionConfig`` for pretraining), the ``AnchorSet`` that pretraining
+produces, the ``PosteriorChain`` that the sampler produces and the
+``DegenerateLoadingError`` that post-processing raises and the command line
+maps to an exit code. Storage, simulation, metrics and post-processing
+therefore import this module and no algorithm module; ``pretrain``,
+``sampler`` and ``postprocess`` import the types they produce back, so their
+old paths still work.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -22,6 +33,10 @@ class ShapeError(ValueError):
 
 class DomainError(ValueError):
     """A value lies outside its mathematical domain."""
+
+
+class DegenerateLoadingError(ValueError):
+    """A loading column or partition is numerically degenerate."""
 
 
 def is_finite_number(value) -> bool:
@@ -98,7 +113,8 @@ class FactorAssignment:
         kmax = int(k.max())
         if k.min() < 1:
             raise ValueError("assignment entries must be in {1..K}")
-        if set(np.unique(k)) != set(range(1, kmax + 1)):
+        # a set of Python ints: np.unique would load numpy.ma (~17 ms) for its mask check
+        if set(k.tolist()) != set(range(1, kmax + 1)):
             raise ValueError("assignment must be surjective onto {1..K}")
         if kmax > k.size:
             raise ValueError("K must not exceed H")
@@ -258,6 +274,125 @@ class Hyperparameters:
             raise ValueError("L, iterations and thin must be positive")
         if not 0 <= self.burn_in < self.iterations:
             raise ValueError("burn_in must be smaller than iterations")
+
+
+@dataclass(frozen=True)
+class DiffusionConfig:
+    """Tuning parameters for the embedding and the dimension estimator.
+
+    ``epsilon_dm=None`` uses the median pairwise distance; ``epsilon_local=None``
+    uses the 10th percentile of pairwise distances among embedded coordinates.
+    ``dimension_offset`` is added to the literal eigenvalue-ratio estimate.
+    """
+
+    epsilon_dm: float | None = None
+    Q: int = 5
+    epsilon_local: float | None = None
+    delta: float = 0.5
+    dimension_offset: int = 0
+
+    def __post_init__(self):
+        check_config_fields(self)
+        if self.epsilon_dm is not None and self.epsilon_dm <= 0:
+            raise ValueError("epsilon_dm must be positive")
+        if self.epsilon_local is not None and self.epsilon_local <= 0:
+            raise ValueError("epsilon_local must be positive")
+        if not 0 < self.delta < 1:
+            raise ValueError("delta must lie in (0,1)")
+        # estimate_dimension compares successive coordinates, so it needs two
+        if self.Q < 2:
+            raise ValueError(f"Q must be at least 2, got {self.Q}")
+
+
+@dataclass(frozen=True)
+class AnchorSet:
+    """Augmented anchor columns and their fixed residual variances."""
+
+    coordinates: np.ndarray         # N x K
+    residual_variances: np.ndarray  # length K
+    source: str = "diffusion_map"   # or "external"
+
+    def __post_init__(self):
+        coords = np.atleast_2d(np.asarray(self.coordinates, dtype=float))
+        var = np.asarray(self.residual_variances, dtype=float).ravel()
+        if coords.shape[1] != var.size or coords.shape[1] < 1:
+            raise ShapeError("one residual variance per anchor column required")
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("anchor coordinates must be finite")
+        if not np.all(np.isfinite(var) & (var > 0)):
+            raise ValueError("anchor residual variances must be finite and positive")
+        if self.source not in ("diffusion_map", "external"):
+            raise ValueError("source must be 'diffusion_map' or 'external'")
+        object.__setattr__(self, "coordinates", coords)
+        object.__setattr__(self, "residual_variances", var)
+
+    @property
+    def n_anchors(self) -> int:
+        return self.coordinates.shape[1]
+
+
+@dataclass(frozen=True)
+class ChainDiagnostics:
+    """Per-run sampler diagnostics."""
+
+    log_posterior_trace: np.ndarray
+    mala_acceptance_rate: float
+    block_seconds: np.ndarray  # loadings, variances, splines, mala, shrinkage
+
+
+CHAIN_ARRAYS = ("loadings", "spline_coefficients", "latent_locations",
+                "residual_variances", "local_scales", "global_scale")
+
+
+@dataclass(frozen=True)
+class PosteriorChain:
+    """Ordered post-burn-in, thinned draws as stacked read-only arrays, plus
+    run metadata. A chain holds at least one draw."""
+
+    loadings: np.ndarray             # M x P x H
+    spline_coefficients: np.ndarray  # M x (L+1) x H; row 0 holds the intercepts
+    latent_locations: np.ndarray     # M x N x K, entries in [0,1]
+    residual_variances: np.ndarray   # M x P, positive
+    local_scales: np.ndarray         # M x P x H, positive
+    global_scale: np.ndarray         # M, positive
+    assignment: FactorAssignment
+    diagnostics: ChainDiagnostics
+    config: Hyperparameters
+    anchor: AnchorSet
+
+    def __post_init__(self):
+        arrays = [np.array(getattr(self, name), dtype=float) for name in CHAIN_ARRAYS]
+        for name, arr in zip(CHAIN_ARRAYS, arrays):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        lam, coef, u, sig, gam, tau = arrays
+        m = self.diagnostics.log_posterior_trace.size
+        if m < 1:
+            raise ValueError("a chain needs at least one retained draw")
+        h, k = self.assignment.n_factors, self.assignment.n_locations
+        p, n, width = (a.shape[1] if a.ndim == 3 else -1 for a in (lam, u, coef))
+        expected = ((m, p, h), (m, width, h), (m, n, k), (m, p), (m, p, h), (m,))
+        if width < 2 or any(a.shape != e for a, e in zip(arrays, expected)):
+            raise ShapeError("chain arrays must hold one draw per trace entry, shaped "
+                             "by the assignment")
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValueError("chain arrays must be finite")
+        if np.any(sig <= 0) or np.any(gam <= 0) or np.any(tau <= 0):
+            raise ValueError("variances and shrinkage scales must be positive")
+        if np.any(u < 0) or np.any(u > 1):
+            raise DomainError("latent locations must lie in [0,1]")
+
+    @cached_property
+    def samples(self) -> tuple:
+        """One NiftyState record per draw, built on first access."""
+        return tuple(
+            NiftyState(lam, tuple(PiecewiseLinearMap(col[0], col[1:]) for col in c.T),
+                       u, sig, gam, tau, self.assignment)
+            for lam, c, u, sig, gam, tau in zip(*(getattr(self, n) for n in CHAIN_ARRAYS))
+        )
+
+    def __len__(self) -> int:
+        return self.global_scale.shape[0]
 
 
 def eta(coefficients: np.ndarray, u: np.ndarray, assignment: FactorAssignment) -> np.ndarray:

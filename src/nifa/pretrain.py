@@ -6,71 +6,16 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .model import (DataMatrix, ShapeError, check_config_fields, rank_transform, spline_design,
+from .model import (AnchorSet, DataMatrix, DiffusionConfig, rank_transform, spline_design,
                     usable_cpus)
 
 
 class DegenerateGeometryError(RuntimeError):
     """The kernel or local-covariance structure is degenerate."""
-
-
-@dataclass(frozen=True)
-class DiffusionConfig:
-    """Tuning parameters for the embedding and the dimension estimator.
-
-    ``epsilon_dm=None`` uses the median pairwise distance; ``epsilon_local=None``
-    uses the 10th percentile of pairwise distances among embedded coordinates.
-    ``dimension_offset`` is added to the literal eigenvalue-ratio estimate.
-    """
-
-    epsilon_dm: float | None = None
-    Q: int = 5
-    epsilon_local: float | None = None
-    delta: float = 0.5
-    dimension_offset: int = 0
-
-    def __post_init__(self):
-        check_config_fields(self)
-        if self.epsilon_dm is not None and self.epsilon_dm <= 0:
-            raise ValueError("epsilon_dm must be positive")
-        if self.epsilon_local is not None and self.epsilon_local <= 0:
-            raise ValueError("epsilon_local must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0,1)")
-        # estimate_dimension compares successive coordinates, so it needs two
-        if self.Q < 2:
-            raise ValueError(f"Q must be at least 2, got {self.Q}")
-
-
-@dataclass(frozen=True)
-class AnchorSet:
-    """Augmented anchor columns and their fixed residual variances."""
-
-    coordinates: np.ndarray         # N x K
-    residual_variances: np.ndarray  # length K
-    source: str = "diffusion_map"   # or "external"
-
-    def __post_init__(self):
-        coords = np.atleast_2d(np.asarray(self.coordinates, dtype=float))
-        var = np.asarray(self.residual_variances, dtype=float).ravel()
-        if coords.shape[1] != var.size or coords.shape[1] < 1:
-            raise ShapeError("one residual variance per anchor column required")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("anchor coordinates must be finite")
-        if not np.all(np.isfinite(var) & (var > 0)):
-            raise ValueError("anchor residual variances must be finite and positive")
-        if self.source not in ("diffusion_map", "external"):
-            raise ValueError("source must be 'diffusion_map' or 'external'")
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "residual_variances", var)
-
-    @property
-    def n_anchors(self) -> int:
-        return self.coordinates.shape[1]
 
 
 # one row block of a pairwise computation holds about this many entries (~0.5 MB),
@@ -192,9 +137,23 @@ def kernel_matrix(data: DataMatrix, epsilon_dm: float) -> np.ndarray:
     return kern
 
 
+def _adjacent_order_statistics(d: np.ndarray, lo: int):
+    """The order statistics lo and lo + 1 of the distances d (lo twice when it
+    is the last), by one partition at lo and the minimum of the part above it.
+    Reorders d."""
+    d.partition(lo)
+    return d[lo], (d[lo + 1 :].min() if lo + 1 < d.size else d[lo])
+
+
 def default_epsilon_dm(data: DataMatrix) -> float:
-    """Median of pairwise distances."""
-    med = float(np.median(_pairwise_distances(data.values), overwrite_input=True))
+    """Median of pairwise distances.
+
+    Bitwise ``np.median(d)``: the middle order statistic of an odd count, else
+    the mean (a + b) / 2 of the two middle ones.
+    """
+    d = _pairwise_distances(data.values)
+    a, b = _adjacent_order_statistics(d, (d.size - 1) // 2)
+    med = float(a if d.size % 2 else (a + b) / 2)
     if med <= 0:
         raise DegenerateGeometryError("median pairwise distance is zero")
     return med
@@ -204,16 +163,13 @@ def default_epsilon_local(coords: np.ndarray) -> float:
     """10th percentile of pairwise distances among embedded coordinates.
 
     Bitwise ``np.quantile(d, 0.10)``: its linear rule interpolates between the
-    order statistics lo and lo + 1 at virtual index (m - 1) * 0.10, found here
-    by one partition at lo and the minimum of the part above it.
+    order statistics lo and lo + 1 at virtual index (m - 1) * 0.10.
     """
     d = _pairwise_distances(coords)
     at = (d.size - 1) * 0.10
     lo = math.floor(at)
     t = at - lo
-    d.partition(lo)
-    a = d[lo]
-    b = d[lo + 1 :].min() if lo + 1 < d.size else a
+    a, b = _adjacent_order_statistics(d, lo)
     # numpy's _lerp, which interpolates back from b when t >= 0.5
     q = float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
     if q <= 0:
@@ -412,18 +368,23 @@ def mean_local_eigenvalues(coords: np.ndarray, epsilon_local: float) -> np.ndarr
     coords_t = np.ascontiguousarray(coords.T)
     # the scatter does not move with the origin; centring keeps the sums small
     c = coords - coords.mean(axis=0)
-    # a neighbour j contributes 1, c_j and c_j c_j^T: one product gives all sums
-    terms = np.column_stack([np.ones(n), c, (c[:, :, None] * c[:, None, :]).reshape(n, q * q)])
+    # a neighbour j contributes 1, c_j and the upper triangle of the symmetric
+    # c_j c_j^T: one product gives all sums
+    upper = np.triu_indices(q)
+    terms = np.column_stack([np.ones(n), c, c[:, upper[0]] * c[:, upper[1]]])
     eigenvalues = np.empty((n, q))
 
     def block(lo, hi):
         near = np.sqrt(_squared_distances(coords_t, slice(lo, hi))) <= epsilon_local
-        sums = near.astype(float) @ terms
+        # einsum sums without BLAS, so the sums do not depend on its thread count
+        sums = np.einsum("ij,jk->ik", near.astype(float), terms)
         count, first = sums[:, 0, None, None], sums[:, 1 : q + 1]
+        second = np.empty((hi - lo, q, q))
+        second[:, upper[0], upper[1]] = second[:, upper[1], upper[0]] = sums[:, q + 1 :]
         own = c[lo:hi]
         cross = own[:, :, None] * first[:, None, :]
         covs = (count * own[:, :, None] * own[:, None, :] - cross
-                - cross.transpose(0, 2, 1) + sums[:, q + 1 :].reshape(-1, q, q))
+                - cross.transpose(0, 2, 1) + second)
         covs /= n
         eigenvalues[lo:hi] = np.linalg.eigvalsh(covs)
 

@@ -12,9 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FactorAssignment, Hyperparameters, is_finite_number
-from .sampler import CHAIN_ARRAYS, ChainDiagnostics, PosteriorChain
-from .pretrain import AnchorSet
+from .model import (CHAIN_ARRAYS, AnchorSet, ChainDiagnostics, FactorAssignment, Hyperparameters,
+                    PosteriorChain, is_finite_number)
 
 
 class IncompleteRunError(FileNotFoundError):

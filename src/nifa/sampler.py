@@ -16,95 +16,30 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from functools import cached_property, partial
 from statistics import NormalDist
 
 import numpy as np
 
 from .model import (
+    CHAIN_ARRAYS,
+    AnchorSet,
+    ChainDiagnostics,
     DataMatrix,
     DomainError,
     FactorAssignment,
     Hyperparameters,
-    ShapeError,
+    PosteriorChain,
     eta_from_bases,
     log_likelihood,
     rank_transform,
     spline_design,
     spline_piece,
 )
-from .pretrain import AnchorSet
 
 MALA_TARGET_ACCEPTANCE = 0.574
 SPLINE_GIBBS_SWEEPS = 2
 SIGMA_HOLD_SWEEPS = 1000  # residual variances stay at their start this many sweeps at most
-
-
-@dataclass(frozen=True)
-class ChainDiagnostics:
-    """Per-run sampler diagnostics."""
-
-    log_posterior_trace: np.ndarray
-    mala_acceptance_rate: float
-    block_seconds: np.ndarray  # loadings, variances, splines, mala, shrinkage
-
-
-CHAIN_ARRAYS = ("loadings", "spline_coefficients", "latent_locations",
-                "residual_variances", "local_scales", "global_scale")
-
-
-@dataclass(frozen=True)
-class PosteriorChain:
-    """Ordered post-burn-in, thinned draws as stacked read-only arrays, plus
-    run metadata. A chain holds at least one draw."""
-
-    loadings: np.ndarray             # M x P x H
-    spline_coefficients: np.ndarray  # M x (L+1) x H; row 0 holds the intercepts
-    latent_locations: np.ndarray     # M x N x K, entries in [0,1]
-    residual_variances: np.ndarray   # M x P, positive
-    local_scales: np.ndarray         # M x P x H, positive
-    global_scale: np.ndarray         # M, positive
-    assignment: FactorAssignment
-    diagnostics: ChainDiagnostics
-    config: Hyperparameters
-    anchor: AnchorSet
-
-    def __post_init__(self):
-        arrays = [np.array(getattr(self, name), dtype=float) for name in CHAIN_ARRAYS]
-        for name, arr in zip(CHAIN_ARRAYS, arrays):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        lam, coef, u, sig, gam, tau = arrays
-        m = self.diagnostics.log_posterior_trace.size
-        if m < 1:
-            raise ValueError("a chain needs at least one retained draw")
-        h, k = self.assignment.n_factors, self.assignment.n_locations
-        p, n, width = (a.shape[1] if a.ndim == 3 else -1 for a in (lam, u, coef))
-        expected = ((m, p, h), (m, width, h), (m, n, k), (m, p), (m, p, h), (m,))
-        if width < 2 or any(a.shape != e for a, e in zip(arrays, expected)):
-            raise ShapeError("chain arrays must hold one draw per trace entry, shaped "
-                             "by the assignment")
-        if not all(np.all(np.isfinite(a)) for a in arrays):
-            raise ValueError("chain arrays must be finite")
-        if np.any(sig <= 0) or np.any(gam <= 0) or np.any(tau <= 0):
-            raise ValueError("variances and shrinkage scales must be positive")
-        if np.any(u < 0) or np.any(u > 1):
-            raise DomainError("latent locations must lie in [0,1]")
-
-    @cached_property
-    def samples(self) -> tuple:
-        """One NiftyState record per draw, built on first access."""
-        from .model import NiftyState, PiecewiseLinearMap
-
-        return tuple(
-            NiftyState(lam, tuple(PiecewiseLinearMap(col[0], col[1:]) for col in c.T),
-                       u, sig, gam, tau, self.assignment)
-            for lam, c, u, sig, gam, tau in zip(*(getattr(self, n) for n in CHAIN_ARRAYS))
-        )
-
-    def __len__(self) -> int:
-        return self.global_scale.shape[0]
 
 
 def _outside_unit_interval(u: np.ndarray) -> bool:
@@ -275,22 +210,31 @@ def spline_posterior(
 
 _SQRT2 = math.sqrt(2.0)
 _normal_quantile = NormalDist().inv_cdf  # Wichura's AS 241
+# a truncation point this many standard deviations above the mean or more is
+# in the far tail, where an exponential replaces the inversion
+_FAR_TAIL = 6.0
 
 
-def _truncated_standard_normal(rng: np.random.Generator, lower: float) -> float:
-    """Standard normal conditioned on being >= lower. Takes one ``rng.random()``
-    by inversion of the normal CDF, or one ``rng.standard_exponential()`` in
-    the far tail.
+def _inverse_cdf_draw(lower: float, uniform: float) -> float:
+    """Standard normal conditioned on being >= lower (< _FAR_TAIL), by
+    inversion of the normal CDF at the uniform ``uniform`` in [0, 1).
 
     The probability handed to the quantile is kept strictly inside (0, 1),
     where the quantile is finite: it would be 0 when the CDF underflows (lower
     below about -38.5) and the uniform is 0, so it is raised to 5e-324, the
     smallest positive double.
     """
-    if lower < 6.0:
-        a = 0.5 * math.erfc(-lower / _SQRT2)
-        p = a + rng.random() * (1.0 - a)
-        return _normal_quantile(min(max(p, 5e-324), 1.0 - 1e-16))
+    a = 0.5 * math.erfc(-lower / _SQRT2)
+    p = a + uniform * (1.0 - a)
+    return _normal_quantile(min(max(p, 5e-324), 1.0 - 1e-16))
+
+
+def _truncated_standard_normal(rng: np.random.Generator, lower: float) -> float:
+    """Standard normal conditioned on being >= lower. Takes one ``rng.random()``
+    by inversion of the normal CDF, or one ``rng.standard_exponential()`` in
+    the far tail."""
+    if lower < _FAR_TAIL:
+        return _inverse_cdf_draw(lower, rng.random())
     # far tail: exponential approximation is numerically exact here
     return lower + rng.standard_exponential() / lower
 
@@ -315,12 +259,15 @@ def sample_spline_coefficients(
     intercept takes one ``rng.standard_normal()``. A truncated slope takes one
     ``rng.random()`` for an inverse-CDF draw, or one
     ``rng.standard_exponential()`` when zero lies 6 or more conditional
-    standard deviations above its mean. Around this block, a sweep
-    evaluates the factors g(u) once, in the latent-location update. The
-    block reads the designs of u from ``geometry`` (see spline_posterior).
+    standard deviations above its mean. The uniforms of a factor block's
+    slopes come from one call, which leaves the same stream. Around this
+    block, a sweep evaluates the factors g(u) once, in the latent-location
+    update. The block reads the designs of u from ``geometry`` (see
+    spline_posterior).
     """
     prec, lin = spline_posterior(loadings, residual_variances, geometry, assignment, data, hp)
     width, h = coefficients.shape
+    slopes = width - 1
     diag = prec.diagonal()
     if np.any(diag <= 0):
         raise np.linalg.LinAlgError("singular spline posterior precision")
@@ -329,15 +276,30 @@ def sample_spline_coefficients(
     # beta) plus one BLAS dot with the precision row: the same IEEE operations,
     # and so the same draws, as on numpy scalars, with less call overhead.
     current = beta.tolist()
-    terms = list(zip(range(beta.size), prec, diag.tolist(), (1.0 / np.sqrt(diag)).tolist(),
-                     lin.tolist()))
+    # per coordinate: its index, its slope index in the block (-1: the intercept),
+    # its precision row and diagonal entry, its standard deviation and linear term
+    terms = list(zip(range(beta.size), [c % width - 1 for c in range(beta.size)], prec,
+                     diag.tolist(), (1.0 / np.sqrt(diag)).tolist(), lin.tolist()))
     for _ in range(SPLINE_GIBBS_SWEEPS):
-        for c, row, pcc, sd, lin_c in terms:
+        for c, i, row, pcc, sd, lin_c in terms:
             mean = (lin_c - float(row.dot(beta)) + pcc * current[c]) / pcc
-            if c % width:
-                b = mean + sd * _truncated_standard_normal(rng, -mean / sd)
-            else:
+            lower = -mean / sd
+            if i < 0:
                 b = mean + sd * rng.standard_normal()
+                # the uniforms of the block's slopes in one call, after the
+                # generator state that a far-tail slope rewinds to
+                saved, first = rng.bit_generator.state, 0
+                uniforms = rng.random(slopes).tolist()
+            elif lower < _FAR_TAIL:
+                b = mean + sd * _inverse_cdf_draw(lower, uniforms[i])
+            else:
+                # the slope takes an exponential where its uniform was: retake
+                # the uniforms before it, draw it, then the uniforms after it
+                rng.bit_generator.state = saved
+                rng.random(i - first)
+                b = mean + sd * _truncated_standard_normal(rng, lower)
+                saved, first = rng.bit_generator.state, i + 1
+                uniforms[first:] = rng.random(slopes - first).tolist()
             beta[c] = current[c] = b
     out = beta.reshape(h, width).T.copy()
     out[1:] = np.maximum(out[1:], 0.0)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DataMatrix, eta
-from .sampler import PosteriorChain
+from .model import DataMatrix, PosteriorChain, eta
 
 NOISE_SD = 0.1  # residual variance 0.01 throughout the synthetic settings
 
@@ -95,7 +94,7 @@ def posterior_predictive_array(
     idx = rng.integers(len(chain), size=n_new)
     u_new = rng.uniform(size=(n_new, k))
     noise = rng.standard_normal((n_new, p))
-    for m in np.unique(idx):
+    for m in sorted(set(idx.tolist())):  # np.unique would load numpy.ma for its mask check
         rows = np.flatnonzero(idx == m)
         factors = eta(chain.spline_coefficients[m], u_new[rows], chain.assignment)
         out[rows] = factors @ chain.loadings[m].T + noise[rows] * np.sqrt(

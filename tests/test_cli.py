@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -367,13 +368,14 @@ class TestParallelChains:
 
     def test_one_cpu_runs_chains_without_a_pool(self, workspace, parallel_chains, tmp_path,
                                                 monkeypatch):
-        import nifa.cli
+        import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was built for one usable CPU")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(nifa.cli, "ProcessPoolExecutor", no_pool)
+        # the fit imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert usable_cpus() == 1
         assert run("fit", "--input", workspace / "data.csv", "--anchor-dir",
                    workspace / "anchors", "--out", tmp_path, "--chains", "3", *CHAIN_ARGS) == 0
@@ -654,44 +656,94 @@ class TestColumnarStages:
         assert builds == []
 
 
-# `main(argv)` in a fresh interpreter (none without arguments), then the names
-# of the loaded scipy modules on the last line of stdout
-SCIPY_PROBE = """
-import sys
+# `main(argv)` in a fresh interpreter (none without arguments), then, as JSON on
+# the last line of stdout, the loaded scipy modules, the nifa submodules in
+# sys.modules, those whose body ran (a lazily loaded module that has not run
+# is of a subclass of the module type) and the loaded modules of OPTIONAL
+STARTUP_PROBE = """
+import json, sys, types
 from nifa.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+nifa = {k[5:]: m for k, m in sys.modules.items() if k.startswith("nifa.") and k != "nifa.cli"}
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "registered": sorted(nifa),
+    "ran": sorted(k for k, m in nifa.items() if type(m) is types.ModuleType),
+    "optional": sorted(m for m in ("concurrent.futures", "multiprocessing", "numpy.ma",
+                                   "statistics") if m in sys.modules),
+}))
 sys.exit(code)
 """
 
+SUBMODULES = ["metrics", "model", "postprocess", "pretrain", "runio", "sampler", "simulate"]
 
-def scipy_modules_after(*args):
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *map(str, args)],
+
+def startup_probe(*args) -> dict:
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *map(str, args)],
                           capture_output=True, text=True, env=fresh_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def stage_startups(workspace, tmp_path_factory):
+    """startup_probe of each of the six stages, by command (fit with one chain)."""
+    out = tmp_path_factory.mktemp("startup")
+    args = {
+        "simulate": ("--setting", "3", "--n", "20", "--out", out / "d.csv"),
+        "pretrain": ("--input", workspace / "data.csv", "--out-dir", out / "a",
+                     "--pieces", "8"),
+        "fit": ("--input", workspace / "data.csv", "--anchor-dir", workspace / "anchors",
+                "--out", out / "fit", "--iterations", "20", "--burn-in", "10",
+                "--pieces", "8"),
+        "postprocess": (workspace / "run",),
+        "generate": (workspace / "run", "--n", "5", "--out", out / "g.csv"),
+        "evaluate": (workspace / "data.csv", workspace / "data.csv", "--projections", "5"),
+    }
+    return {command: startup_probe(command, *argv) for command, argv in args.items()}
 
 
 class TestStartup:
-    """No stage imports scipy: `import nifa` and all six stages start on numpy
-    alone."""
+    """Each stage runs the modules its command uses and no other: `import nifa`
+    and `import nifa.cli` register every submodule without running it, no
+    stage imports scipy, and a stage loads the optional modules of
+    STARTUP_PROBE only where it uses them."""
 
     def test_import_loads_no_scipy(self):
-        assert scipy_modules_after() == set()
+        assert startup_probe()["scipy"] == []
+
+    def test_import_registers_every_submodule_and_runs_only_model(self):
+        probe = startup_probe()
+        assert probe["registered"] == SUBMODULES
+        # the command line reads its configuration types from model
+        assert probe["ran"] == ["model"]
+        assert probe["optional"] == []
 
     @pytest.mark.parametrize("command", ["simulate", "pretrain", "fit", "postprocess",
                                          "generate", "evaluate"])
-    def test_stage_loads_no_scipy(self, workspace, tmp_path, command):
-        args = {
-            "simulate": ("--setting", "3", "--n", "20", "--out", tmp_path / "d.csv"),
-            "pretrain": ("--input", workspace / "data.csv", "--out-dir", tmp_path / "a",
-                         "--pieces", "8"),
-            "fit": ("--input", workspace / "data.csv", "--anchor-dir", workspace / "anchors",
-                    "--out", tmp_path / "fit", "--iterations", "20", "--burn-in", "10",
-                    "--pieces", "8"),
-            "postprocess": (workspace / "run",),
-            "generate": (workspace / "run", "--n", "5", "--out", tmp_path / "g.csv"),
-            "evaluate": (workspace / "data.csv", workspace / "data.csv",
-                         "--projections", "5"),
-        }[command]
-        assert scipy_modules_after(command, *args) == set()
+    def test_stage_loads_no_scipy(self, stage_startups, command):
+        assert stage_startups[command]["scipy"] == []
+
+    @pytest.mark.parametrize("command, ran", [
+        ("simulate", ["model", "runio", "simulate"]),
+        ("pretrain", ["model", "pretrain", "runio"]),
+        ("fit", ["model", "runio", "sampler"]),
+        ("postprocess", ["model", "postprocess", "runio"]),
+        ("generate", ["model", "runio", "simulate"]),
+        ("evaluate", ["metrics", "model", "runio"]),
+    ])
+    def test_stage_runs_only_its_modules(self, stage_startups, command, ran):
+        assert stage_startups[command]["registered"] == SUBMODULES
+        assert stage_startups[command]["ran"] == ran
+
+    @pytest.mark.parametrize("command, optional", [
+        ("simulate", []),
+        ("pretrain", ["concurrent.futures"]),  # its row-block passes run on a thread pool
+        ("fit", ["statistics"]),  # the normal quantile; one chain starts no process pool
+        ("postprocess", []),
+        ("generate", []),
+        ("evaluate", []),
+    ])
+    def test_stage_loads_only_the_optional_modules_it_uses(self, stage_startups, command,
+                                                           optional):
+        assert stage_startups[command]["optional"] == optional

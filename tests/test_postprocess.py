@@ -5,8 +5,12 @@ import pytest
 
 from nifa.model import FactorAssignment, Hyperparameters, eta
 from nifa.postprocess import (
+    CREDIBLE_LEVEL,
+    U_GRID,
     DegenerateLoadingError,
     _greedy_match,
+    _quantile,
+    mappings_on_grid,
     match_align,
     normalize_columns,
     orthogonalize_partition,
@@ -242,6 +246,23 @@ class TestPipeline:
         assert s["loadings_mean"].shape == (p, h)
         assert s["mappings_mean"].shape == (101, h)
         assert np.all(s["loadings_lower"] <= s["loadings_upper"] + 1e-12)
+
+    def test_summary_intervals_equal_np_quantile(self):
+        out, _ = postprocess_chain(make_chain(seed=13))
+        s = summarize(out)
+        lo_q, hi_q = (1 - CREDIBLE_LEVEL) / 2, 1 - (1 - CREDIBLE_LEVEL) / 2
+        for key, draws in (("loadings", out.loadings), ("variances", out.residual_variances),
+                           ("mappings", mappings_on_grid(out, U_GRID))):
+            assert np.array_equal(s[f"{key}_lower"], np.quantile(draws, lo_q, axis=0))
+            assert np.array_equal(s[f"{key}_upper"], np.quantile(draws, hi_q, axis=0))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 20, 40, 41, 101])
+    def test_quantile_of_sorted_draws_is_bitwise_np_quantile(self, m):
+        rng = np.random.default_rng(m)
+        # rounded draws hold ties; a fraction at, above and below 0.5 occurs
+        x = np.round(rng.standard_normal((m, 3, 4)), 1)
+        for q in (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0, 1 - 0.05):
+            assert np.array_equal(_quantile(np.sort(x, axis=0), q), np.quantile(x, q, axis=0))
 
     def test_summarize_interval_covers_mean_of_constant_chain(self):
         chain = make_chain(seed=12)

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,10 +80,11 @@ class TestBandwidths:
         np.random.default_rng(34).standard_normal((3, 2)),     # 3 pairs, odd
         np.random.default_rng(30).standard_normal((5, 3)),     # 10 pairs, even
         np.random.default_rng(31).standard_normal((300, 10)),  # 44,850 pairs, even
-        np.random.default_rng(32).standard_normal((701, 2)),   # several row blocks
+        np.random.default_rng(32).standard_normal((701, 2)),   # several row blocks, even
+        np.random.default_rng(35).standard_normal((702, 2)),   # 246,051 pairs, odd
         tied_points(),
         tied_points()[:-1],                                    # 406 pairs, even
-    ], ids=["2x3", "3x2", "5x3", "300x10", "701x2", "grid", "grid-minus-one"])
+    ], ids=["2x3", "3x2", "5x3", "300x10", "701x2", "702x2", "grid", "grid-minus-one"])
     def test_defaults_equal_the_pdist_order_statistics(self, x):
         d = pdist(x)
         assert default_epsilon_dm(DataMatrix(x)) == np.median(d)
@@ -540,7 +544,37 @@ def pretraining_outputs(dm: DataMatrix, monkeypatch) -> dict:
             **{f"config.{k}": v for k, v in decisions["config"].items()}}
 
 
+# run_pretraining on setting 3 data (N, seed from argv) at the default
+# bandwidths, its anchors and decisions pickled to stdout
+PRETRAIN_PROBE = """
+import pickle, sys
+from nifa.pretrain import DiffusionConfig, run_pretraining
+from nifa.simulate import gen_setting3
+anchor, decisions = run_pretraining(gen_setting3(int(sys.argv[1]), int(sys.argv[2])),
+                                    DiffusionConfig(), 20)
+sys.stdout.buffer.write(pickle.dumps((anchor.coordinates, anchor.residual_variances, decisions)))
+"""
+
+
+def pretraining_bytes(blas_threads: int, *args) -> bytes:
+    """PRETRAIN_PROBE's output in a fresh interpreter with the given number of
+    OpenBLAS threads."""
+    import nifa
+
+    path = os.pathsep.join([str(Path(nifa.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(blas_threads))
+    proc = subprocess.run([sys.executable, "-c", PRETRAIN_PROBE, *map(str, args)],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
 class TestThreads:
+    def test_decisions_do_not_depend_on_the_blas_thread_count(self):
+        # a BLAS product of the neighbour sums moved the mean local eigenvalues
+        # in their last digits between one and two OpenBLAS threads
+        assert pretraining_bytes(1, 400, 1) == pretraining_bytes(2, 400, 1)
+
     # neither N is a multiple of 4 (OpenBLAS's row groups) nor of a block height
     @pytest.mark.parametrize("n", [701, 1603])
     def test_outputs_do_not_depend_on_the_thread_count(self, n, monkeypatch):
