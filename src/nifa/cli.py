@@ -174,6 +174,8 @@ def _cmd_postprocess(args) -> int:
     before, after = (postprocess.mappings_on_grid(c, grid) @ c.loadings.transpose(0, 2, 1)
                      for c in (chain, processed))
     max_delta = float(np.max(np.abs(before - after)))
+    # first, so that an overlay given as the run directory is refused before any write
+    runio.save_overlay(Path(args.run_dir) / "aligned", processed)
     out_dir = Path(args.run_dir) / "summaries"
     out_dir.mkdir(exist_ok=True)
     summary = postprocess.summarize(processed)
@@ -189,7 +191,6 @@ def _cmd_postprocess(args) -> int:
             "max_mean_change": max_delta,
         },
     )
-    runio.save_chain(Path(args.run_dir) / "aligned", processed)
     print(f"pivot sample index: {report.pivot_index}")
     print(f"max |model-mean change| over the u-grid: {max_delta:.3e}")
     return 0

@@ -68,8 +68,9 @@ def _greedy_match(pivot_block: np.ndarray, block: np.ndarray):
         best = np.max(score)
         i, j = np.unravel_index(np.argmax(score), score.shape)
         # ambiguous only if another candidate in the same row or column ties
-        row_ties = np.sum(np.isclose(score[i, :], best, rtol=0.0, atol=TIE_TOL))
-        col_ties = np.sum(np.isclose(score[:, j], best, rtol=0.0, atol=TIE_TOL))
+        # best is finite, so a masked -inf entry is never within TIE_TOL of it
+        row_ties = np.count_nonzero(np.abs(score[i, :] - best) <= TIE_TOL)
+        col_ties = np.count_nonzero(np.abs(score[:, j] - best) <= TIE_TOL)
         if max(row_ties, col_ties) > 1:
             tied = True
         perm[i] = j

@@ -1,13 +1,15 @@
 """Run-directory persistence: comma-separated numeric matrices with one header
 row, JSON metadata records, and full chain round-tripping through one
-uncompressed ``chain.npz`` of stacked draws."""
+uncompressed ``chain.npz`` of stacked draws. An overlay directory stores only
+the arrays that differ from a base run directory, which its manifest names."""
 
 from __future__ import annotations
 
 import io
 import json
+import shutil
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +22,17 @@ class IncompleteRunError(FileNotFoundError):
     """A run directory is missing required artifacts."""
 
 
+# the arrays that postprocessing changes, and an overlay stores
+OVERLAY_ARRAYS = ("loadings", "spline_coefficients")
+
+
 def save_matrix(path, arr: np.ndarray, names: list[str] | None = None) -> None:
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     names = names or [f"c{i}" for i in range(arr.shape[1])]
     header = ",".join(names)
-    np.savetxt(path, arr, delimiter=",", header=header, comments="")
+    # a handle, not a path: for a path np.savetxt imports gzip to test for a compressed name
+    with open(path, "w") as fh:
+        np.savetxt(fh, arr, delimiter=",", header=header, comments="")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -122,15 +130,80 @@ def save_chain(run_dir, chain: PosteriorChain) -> None:
     )
 
 
-def load_chain(run_dir) -> PosteriorChain:
-    """Reconstruct a PosteriorChain from a run directory."""
+def save_overlay(run_dir, chain: PosteriorChain) -> None:
+    """Persist the OVERLAY_ARRAYS of a chain whose other arrays, trace, anchors and
+    metadata are those of the run directory above `run_dir`: one ``overlay.npz``
+    and a manifest naming that base (``..``), written last. The files of a full run
+    directory that an earlier version wrote to `run_dir` are removed first. The base
+    must be a run directory, not an overlay."""
     run_dir = Path(run_dir)
+    base = _read_manifest(run_dir.parent)
+    if isinstance(base, dict) and "base" in base:
+        raise ValueError(f"{run_dir.parent} is an overlay, not a run directory to overlay")
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("manifest.json", "chain.npz", "log_posterior.csv"):
+        (run_dir / name).unlink(missing_ok=True)
+    shutil.rmtree(run_dir / "anchor", ignore_errors=True)
+    np.savez(run_dir / "overlay.npz", **{name: getattr(chain, name) for name in OVERLAY_ARRAYS})
+    save_json(run_dir / "manifest.json", {"base": "..", "n_samples": len(chain)})
+
+
+def _read_manifest(run_dir: Path):
+    """The parsed manifest.json of a directory, or None if it has none."""
+    path = run_dir / "manifest.json"
+    if not path.exists():
+        return None
+    try:
+        return load_json(path)
+    except ValueError as exc:
+        raise IncompleteRunError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_arrays(path: Path, names) -> dict:
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            return {name: npz[name] for name in names}
+    except FileNotFoundError:
+        raise IncompleteRunError(f"{path.parent} is missing: {path.name}") from None
+    except (KeyError, zipfile.BadZipFile) as exc:
+        raise IncompleteRunError(f"unreadable {path.name} in {path.parent}: {exc}") from None
+
+
+def load_chain(run_dir) -> PosteriorChain:
+    """Reconstruct a PosteriorChain from a run directory, or from an overlay (a
+    manifest with a ``base`` entry): the chain of its base run directory with the
+    overlay's arrays in place of the base's."""
+    run_dir = Path(run_dir)
+    manifest = _read_manifest(run_dir)
+    if isinstance(manifest, dict) and "base" in manifest:
+        return _load_overlay(run_dir, manifest)
+    return _load_run(run_dir, manifest)
+
+
+def _load_overlay(run_dir: Path, manifest: dict) -> PosteriorChain:
+    manifest_path = run_dir / "manifest.json"
+    _require_keys(manifest, ("base", "n_samples"), manifest_path)
+    _require_form(isinstance(manifest["base"], str), manifest_path, "base", "a path")
+    base_dir = run_dir / manifest["base"]
+    try:
+        base = _load_run(base_dir, _read_manifest(base_dir))
+    except IncompleteRunError as exc:
+        raise IncompleteRunError(f"{run_dir} overlays {base_dir}, which is not a complete "
+                                 f"run directory: {exc}") from None
+    arrays = _load_arrays(run_dir / "overlay.npz", OVERLAY_ARRAYS)
+    if manifest["n_samples"] != len(base) or any(
+            arr.shape != getattr(base, name).shape for name, arr in arrays.items()):
+        raise IncompleteRunError(f"overlay {run_dir} does not hold the shapes of its base's "
+                                 f"{len(base)} samples")
+    return replace(base, **arrays)
+
+
+def _load_run(run_dir: Path, manifest) -> PosteriorChain:
     required = ("manifest.json", "chain.npz", "log_posterior.csv", "anchor")
     missing = [name for name in required if not (run_dir / name).exists()]
     if missing:
         raise IncompleteRunError(f"run directory {run_dir} is missing: {', '.join(missing)}")
     manifest_path = run_dir / "manifest.json"
-    manifest = load_json(manifest_path)
     _require_keys(manifest, ("n_samples", "assignment", "mala_acceptance_rate",
                              "block_seconds", "config"), manifest_path)
     rate, seconds, entries = (manifest[key] for key in
@@ -151,11 +224,7 @@ def load_chain(run_dir) -> PosteriorChain:
     except (TypeError, ValueError, OverflowError) as exc:
         raise IncompleteRunError(f"{manifest_path} holds a config or assignment of the "
                                  f"wrong form: {exc}") from None
-    try:
-        with np.load(run_dir / "chain.npz", allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in CHAIN_ARRAYS}
-    except (KeyError, zipfile.BadZipFile) as exc:
-        raise IncompleteRunError(f"unreadable chain.npz in {run_dir}: {exc}") from None
+    arrays = _load_arrays(run_dir / "chain.npz", CHAIN_ARRAYS)
     if any(a.shape[:1] != (manifest["n_samples"],) for a in arrays.values()):
         raise IncompleteRunError(f"chain.npz in {run_dir} does not hold the manifest's "
                                  f"{manifest['n_samples']} samples")

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -11,13 +12,20 @@ import pytest
 
 import nifa
 from nifa.cli import build_parser, main
-from nifa.model import Hyperparameters, usable_cpus
+from nifa.model import CHAIN_ARRAYS, Hyperparameters, usable_cpus
+from nifa.postprocess import postprocess_chain
 from nifa.pretrain import DiffusionConfig
-from nifa.runio import load_anchor_set, load_chain, load_json, load_matrix, save_matrix
+from nifa.runio import (load_anchor_set, load_chain, load_json, load_matrix, save_chain,
+                        save_json, save_matrix)
 
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def file_bytes(run_dir):
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
 
 
 def fresh_env():
@@ -435,6 +443,47 @@ class TestPostprocess:
     def test_missing_run_is_input_error(self, tmp_path):
         assert run("postprocess", tmp_path / "nope") == 2
 
+    def test_aligned_is_an_overlay_of_the_run(self, workspace):
+        aligned = workspace / "run" / "aligned"
+        assert sorted(p.name for p in aligned.iterdir()) == ["manifest.json", "overlay.npz"]
+        with np.load(aligned / "overlay.npz") as npz:
+            assert sorted(npz.files) == ["loadings", "spline_coefficients"]
+        chain, overlay = load_chain(workspace / "run"), load_chain(aligned)
+        for name in ("latent_locations", "residual_variances", "local_scales", "global_scale"):
+            assert np.array_equal(getattr(overlay, name), getattr(chain, name)), name
+
+    def test_aligned_arrays_equal_postprocess_chain(self, workspace):
+        processed, _ = postprocess_chain(load_chain(workspace / "run"))
+        back = load_chain(workspace / "run" / "aligned")
+        for name in CHAIN_ARRAYS:
+            assert np.array_equal(getattr(back, name), getattr(processed, name)), name
+
+    def test_second_run_is_byte_identical(self, workspace, tmp_path):
+        shutil.copytree(workspace / "run", tmp_path / "run")
+        first = file_bytes(tmp_path / "run")
+        assert run("postprocess", tmp_path / "run") == 0
+        assert file_bytes(tmp_path / "run") == first
+
+    def test_replaces_a_full_copy(self, workspace, tmp_path):
+        # earlier versions wrote aligned/ as a full run directory
+        shutil.copytree(workspace / "run", tmp_path / "run")
+        aligned = load_chain(tmp_path / "run" / "aligned")
+        shutil.rmtree(tmp_path / "run" / "aligned")
+        save_chain(tmp_path / "run" / "aligned", aligned)
+        assert run("generate", tmp_path / "run" / "aligned", "--n", "7", "--seed", "2",
+                   "--out", tmp_path / "full.csv") == 0
+        assert run("postprocess", tmp_path / "run") == 0
+        assert file_bytes(tmp_path / "run") == file_bytes(workspace / "run")
+        assert run("generate", tmp_path / "run" / "aligned", "--n", "7", "--seed", "2",
+                   "--out", tmp_path / "overlay.csv") == 0
+        assert (tmp_path / "overlay.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+    def test_overlay_is_refused_before_any_write(self, workspace, tmp_path):
+        shutil.copytree(workspace / "run", tmp_path / "run")
+        first = file_bytes(tmp_path / "run")
+        assert run("postprocess", tmp_path / "run" / "aligned") == 2
+        assert file_bytes(tmp_path / "run") == first
+
 
 class TestGenerate:
     def test_rows_and_determinism(self, workspace, tmp_path):
@@ -454,6 +503,24 @@ class TestGenerate:
                    "--out", out) == 0
         arr = load_matrix(out)
         assert arr.shape[0] == 0
+
+    def test_from_aligned_overlay(self, workspace, tmp_path):
+        out = tmp_path / "a.csv"
+        assert run("generate", workspace / "run" / "aligned", "--n", "15", "--seed", "9",
+                   "--out", out) == 0
+        assert load_matrix(out).shape == (15, load_chain(workspace / "run").loadings.shape[1])
+
+    @pytest.mark.parametrize("damage", ["missing_base", "draw_count"])
+    def test_broken_overlay_is_input_error(self, workspace, tmp_path, damage):
+        shutil.copytree(workspace / "run", tmp_path / "run")
+        aligned = tmp_path / "run" / "aligned"
+        if damage == "missing_base":
+            aligned = shutil.move(aligned, tmp_path / "alone")
+        else:
+            manifest = load_json(aligned / "manifest.json")
+            save_json(aligned / "manifest.json", {**manifest, "n_samples": 1})
+        assert run("generate", aligned, "--n", "5", "--out", tmp_path / "g.csv") == 2
+        assert not (tmp_path / "g.csv").exists()
 
     def test_drop_anchors(self, workspace, tmp_path):
         out = tmp_path / "na.csv"
@@ -669,8 +736,8 @@ print(json.dumps({
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "registered": sorted(nifa),
     "ran": sorted(k for k, m in nifa.items() if type(m) is types.ModuleType),
-    "optional": sorted(m for m in ("concurrent.futures", "multiprocessing", "numpy.ma",
-                                   "statistics") if m in sys.modules),
+    "optional": sorted(m for m in ("concurrent.futures", "gzip", "multiprocessing",
+                                   "numpy.ma", "statistics") if m in sys.modules),
 }))
 sys.exit(code)
 """

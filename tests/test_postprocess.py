@@ -169,6 +169,16 @@ class TestGreedyMatch:
         _, _, tied = _greedy_match(pivot, block)
         assert tied
 
+    def test_tie_after_a_masked_row(self):
+        # the first match masks row and column 0 with -inf; the exact tie between the
+        # two remaining columns of row 1 is found, and the masked entries never count
+        a = 1 / np.sqrt(2)
+        block = np.array([[1.0, 0.0, 0.0], [0.0, a, a], [0.0, a, -a]])
+        perm, _, tied = _greedy_match(np.eye(3), block)
+        assert tied and perm[0] == 0
+        _, _, tied = _greedy_match(np.eye(3), np.diag([1.0, 0.9, 0.8]))
+        assert not tied
+
 
 class TestMatchAlign:
     def test_preserves_mapped_product(self):

@@ -5,6 +5,7 @@ from nifa.model import DataMatrix, DomainError, FactorAssignment, Hyperparameter
 from nifa.postprocess import postprocess_chain
 from nifa.pretrain import AnchorSet
 from nifa.runio import (
+    OVERLAY_ARRAYS,
     IncompleteRunError,
     load_anchor_set,
     load_chain,
@@ -14,6 +15,7 @@ from nifa.runio import (
     save_chain,
     save_json,
     save_matrix,
+    save_overlay,
 )
 from nifa.sampler import CHAIN_ARRAYS, run_chain
 
@@ -190,3 +192,113 @@ class TestChainIO:
         np.savez(tmp_path / "run" / "chain.npz", **arrays)
         with pytest.raises(error):
             load_chain(tmp_path / "run")
+
+
+def npz_array_names(run_dir):
+    """The array names of every .npz file under a directory."""
+    names = []
+    for path in sorted(run_dir.rglob("*.npz")):
+        with np.load(path) as npz:
+            names += npz.files
+    return names
+
+
+def file_bytes(run_dir):
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+class TestOverlay:
+    """An overlay directory holds the aligned loadings and spline coefficients and
+    a manifest naming its base run directory; load_chain takes the rest from the base."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        chain, _ = make_chain(seed=3, assignment=[1, 1])
+        aligned, _ = postprocess_chain(chain)
+        save_chain(tmp_path / "run", chain)
+        save_overlay(tmp_path / "run" / "aligned", aligned)
+        return tmp_path / "run", chain, aligned
+
+    def test_round_trip(self, run):
+        run_dir, chain, aligned = run
+        back = load_chain(run_dir / "aligned")
+        for name in CHAIN_ARRAYS:
+            source = aligned if name in OVERLAY_ARRAYS else chain
+            assert np.array_equal(getattr(back, name), getattr(source, name)), name
+        assert np.array_equal(back.diagnostics.log_posterior_trace,
+                              chain.diagnostics.log_posterior_trace)
+        assert np.array_equal(back.assignment.k_of_h, chain.assignment.k_of_h)
+        assert back.config == chain.config
+        assert np.array_equal(back.anchor.coordinates, chain.anchor.coordinates)
+
+    def test_holds_only_the_changed_arrays(self, run):
+        run_dir, _, _ = run
+        assert sorted(p.name for p in (run_dir / "aligned").iterdir()) == [
+            "manifest.json", "overlay.npz"]
+        assert sorted(npz_array_names(run_dir / "aligned")) == sorted(OVERLAY_ARRAYS)
+        assert load_json(run_dir / "aligned" / "manifest.json")["base"] == ".."
+
+    def test_full_copy_still_loads_and_is_replaced(self, tmp_path):
+        chain, _ = make_chain(seed=3, assignment=[1, 1])
+        aligned, _ = postprocess_chain(chain)
+        save_chain(tmp_path / "run", chain)
+        save_chain(tmp_path / "run" / "aligned", aligned)  # the layout of earlier versions
+        old = load_chain(tmp_path / "run" / "aligned")
+        save_overlay(tmp_path / "run" / "aligned", aligned)
+        assert sorted(p.name for p in (tmp_path / "run" / "aligned").iterdir()) == [
+            "manifest.json", "overlay.npz"]
+        new = load_chain(tmp_path / "run" / "aligned")
+        for name in CHAIN_ARRAYS:
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+
+    def test_rewrite_is_byte_identical(self, run):
+        run_dir, _, aligned = run
+        first = file_bytes(run_dir)
+        save_overlay(run_dir / "aligned", aligned)
+        assert file_bytes(run_dir) == first
+
+    def test_missing_base(self, run, tmp_path):
+        run_dir, _, _ = run
+        (tmp_path / "alone").mkdir()
+        for name in ("manifest.json", "overlay.npz"):
+            (run_dir / "aligned" / name).rename(tmp_path / "alone" / name)
+        with pytest.raises(IncompleteRunError, match="not a complete run directory"):
+            load_chain(tmp_path / "alone")
+
+    def test_unreadable_base_manifest(self, run):
+        run_dir, _, _ = run
+        (run_dir / "manifest.json").write_text("{")
+        with pytest.raises(IncompleteRunError, match="not valid JSON"):
+            load_chain(run_dir / "aligned")
+
+    def test_draw_count_must_match_base(self, run):
+        run_dir, _, _ = run
+        path = run_dir / "aligned" / "manifest.json"
+        save_json(path, {**load_json(path), "n_samples": 1})
+        with pytest.raises(IncompleteRunError, match="base's"):
+            load_chain(run_dir / "aligned")
+
+    def test_array_shapes_must_match_base(self, run):
+        run_dir, _, _ = run
+        path = run_dir / "aligned" / "overlay.npz"
+        arrays = dict(np.load(path))
+        np.savez(path, **{k: v[1:] for k, v in arrays.items()})
+        with pytest.raises(IncompleteRunError, match="base's"):
+            load_chain(run_dir / "aligned")
+
+    def test_missing_overlay_arrays(self, run):
+        run_dir, _, _ = run
+        (run_dir / "aligned" / "overlay.npz").unlink()
+        with pytest.raises(IncompleteRunError, match="overlay.npz"):
+            load_chain(run_dir / "aligned")
+
+    def test_base_must_be_a_run_directory(self, run):
+        run_dir, _, aligned = run
+        with pytest.raises(ValueError, match="is an overlay"):
+            save_overlay(run_dir / "aligned" / "aligned", aligned)
+        assert not (run_dir / "aligned" / "aligned").exists()
+        save_chain(run_dir / "nested", aligned)
+        save_json(run_dir / "nested" / "manifest.json", {"base": "../aligned", "n_samples": 1})
+        with pytest.raises(IncompleteRunError, match="not a complete run directory"):
+            load_chain(run_dir / "nested")
