@@ -188,10 +188,10 @@ _GAP_TOL = 1e-10
 _KRYLOV_START = 40
 _KRYLOV_MAX = 160
 _RITZ_TOL = 1e-10
-# the Lanczos matvec cuts the matrix into blocks of a multiple of this many rows.
-# A cut at a multiple of 64 rows keeps every bit of the whole product (OpenBLAS's
-# dgemv gives some rows other last bits when cut elsewhere), and numpy releases
-# the interpreter lock in a matrix-vector product only above 500 result rows.
+# the Lanczos matvec cuts the matrix into blocks of a multiple of this many rows;
+# numpy releases the interpreter lock in a matrix-vector product only above 500
+# result rows. OpenBLAS's dgemv gives a multiple of 64 rows the same bits at one
+# and two threads, other heights not always, so only such heights reach BLAS.
 _MATVEC_ROWS = 512
 
 
@@ -220,10 +220,16 @@ def _divide_by_outer(matrix: np.ndarray, v: np.ndarray, threads: _Threads,
 
 
 def _matvec(matrix: np.ndarray, v: np.ndarray, threads: _Threads) -> np.ndarray:
-    """matrix @ v, row block by row block; bitwise the same."""
+    """matrix @ v by row blocks, the rows past a block's last multiple of 64 by
+    np.einsum (no BLAS): the same bits at 1 or 2 OpenBLAS threads, any runner's."""
     out = np.empty(matrix.shape[0])
-    threads.each_block(lambda lo, hi: np.matmul(matrix[lo:hi], v, out=out[lo:hi]),
-                       out.size, _MATVEC_ROWS)
+
+    def block(lo, hi):
+        mid = hi - (hi - lo) % 64
+        np.matmul(matrix[lo:mid], v, out=out[lo:mid])
+        np.einsum("ij,j->i", matrix[mid:hi], v, out=out[mid:hi])
+
+    threads.each_block(block, out.size, _MATVEC_ROWS)
     return out
 
 

@@ -15,6 +15,7 @@ Each block takes the arrays it reads and returns the ones it updates.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from functools import cached_property, partial
 from statistics import NormalDist
@@ -211,32 +212,30 @@ def spline_posterior(
 _SQRT2 = math.sqrt(2.0)
 _normal_quantile = NormalDist().inv_cdf  # Wichura's AS 241
 # a truncation point this many standard deviations above the mean or more is
-# in the far tail, where an exponential replaces the inversion
+# in the far tail, where the upper tail is inverted instead of the CDF
 _FAR_TAIL = 6.0
 
 
-def _inverse_cdf_draw(lower: float, uniform: float) -> float:
-    """Standard normal conditioned on being >= lower (< _FAR_TAIL), by
-    inversion of the normal CDF at the uniform ``uniform`` in [0, 1).
+def _truncated_standard_normal(lower: float, uniform: float) -> float:
+    """Standard normal conditioned on being >= lower, by inversion at the
+    uniform ``uniform`` in [0, 1).
 
-    The probability handed to the quantile is kept strictly inside (0, 1),
-    where the quantile is finite: it would be 0 when the CDF underflows (lower
-    below about -38.5) and the uniform is 0, so it is raised to 5e-324, the
-    smallest positive double.
+    Below _FAR_TAIL the CDF is inverted at a + uniform (1 - a), a the CDF at
+    lower, kept inside (0, 1) where the quantile is finite. From _FAR_TAIL on,
+    1 - a has lost its digits, so the upper tail is inverted at (1 - uniform)
+    times its mass at lower. That is exact while the mass is a normal double
+    (lower below ~37.5); beyond it the draw is the tail's exponential limit.
+    Floors at 5e-324 (the smallest positive double) and at lower keep every
+    draw finite and >= lower.
     """
-    a = 0.5 * math.erfc(-lower / _SQRT2)
-    p = a + uniform * (1.0 - a)
-    return _normal_quantile(min(max(p, 5e-324), 1.0 - 1e-16))
-
-
-def _truncated_standard_normal(rng: np.random.Generator, lower: float) -> float:
-    """Standard normal conditioned on being >= lower. Takes one ``rng.random()``
-    by inversion of the normal CDF, or one ``rng.standard_exponential()`` in
-    the far tail."""
     if lower < _FAR_TAIL:
-        return _inverse_cdf_draw(lower, rng.random())
-    # far tail: exponential approximation is numerically exact here
-    return lower + rng.standard_exponential() / lower
+        a = 0.5 * math.erfc(-lower / _SQRT2)
+        p = a + uniform * (1.0 - a)
+        return _normal_quantile(min(max(p, 5e-324), 1.0 - 1e-16))
+    tail = 0.5 * math.erfc(lower / _SQRT2)
+    if tail >= sys.float_info.min:
+        return max(lower, -_normal_quantile(max((1.0 - uniform) * tail, 5e-324)))
+    return lower - math.log1p(-uniform) / lower
 
 
 def sample_spline_coefficients(
@@ -256,14 +255,13 @@ def sample_spline_coefficients(
 
     Seeded runs reproduce because the draw order is fixed: each sweep visits
     the coordinates in order, factor by factor with the intercept first. An
-    intercept takes one ``rng.standard_normal()``. A truncated slope takes one
-    ``rng.random()`` for an inverse-CDF draw, or one
-    ``rng.standard_exponential()`` when zero lies 6 or more conditional
-    standard deviations above its mean. The uniforms of a factor block's
-    slopes come from one call, which leaves the same stream. Around this
-    block, a sweep evaluates the factors g(u) once, in the latent-location
-    update. The block reads the designs of u from ``geometry`` (see
-    spline_posterior).
+    intercept takes one ``rng.standard_normal()``, followed by one
+    ``rng.random(L)`` call that gives each of its factor's L slopes its
+    uniform; a slope is the inverse-CDF draw at that uniform of its normal
+    conditional truncated to [0, inf) (see _truncated_standard_normal).
+    Around this block, a sweep evaluates the factors g(u) once, in the
+    latent-location update. The block reads the designs of u from
+    ``geometry`` (see spline_posterior).
     """
     prec, lin = spline_posterior(loadings, residual_variances, geometry, assignment, data, hp)
     width, h = coefficients.shape
@@ -286,20 +284,10 @@ def sample_spline_coefficients(
             lower = -mean / sd
             if i < 0:
                 b = mean + sd * rng.standard_normal()
-                # the uniforms of the block's slopes in one call, after the
-                # generator state that a far-tail slope rewinds to
-                saved, first = rng.bit_generator.state, 0
+                # one uniform per slope of the block, in one call
                 uniforms = rng.random(slopes).tolist()
-            elif lower < _FAR_TAIL:
-                b = mean + sd * _inverse_cdf_draw(lower, uniforms[i])
             else:
-                # the slope takes an exponential where its uniform was: retake
-                # the uniforms before it, draw it, then the uniforms after it
-                rng.bit_generator.state = saved
-                rng.random(i - first)
-                b = mean + sd * _truncated_standard_normal(rng, lower)
-                saved, first = rng.bit_generator.state, i + 1
-                uniforms[first:] = rng.random(slopes - first).tolist()
+                b = mean + sd * _truncated_standard_normal(lower, uniforms[i])
             beta[c] = current[c] = b
     out = beta.reshape(h, width).T.copy()
     out[1:] = np.maximum(out[1:], 0.0)

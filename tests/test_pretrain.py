@@ -574,6 +574,9 @@ class TestThreads:
         # a BLAS product of the neighbour sums moved the mean local eigenvalues
         # in their last digits between one and two OpenBLAS threads
         assert pretraining_bytes(1, 400, 1) == pretraining_bytes(2, 400, 1)
+        # and a Lanczos product whose last block is not a multiple of 64 rows
+        # high moved the anchors and every decision at N=1500
+        assert pretraining_bytes(1, 1500, 2) == pretraining_bytes(2, 1500, 2)
 
     # neither N is a multiple of 4 (OpenBLAS's row groups) nor of a block height
     @pytest.mark.parametrize("n", [701, 1603])

@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from functools import cached_property, partial
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.optimize import minimize
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import kstest, truncnorm
 
 from nifa.model import (
@@ -62,8 +66,8 @@ def reference_uniform_penalty_gradient(u_col):
 
 
 def reference_spline_draw(coefficients, prec, lin, rng):
-    """The coordinate Gibbs draw written on numpy scalars with rng.uniform and
-    rng.exponential, and a fresh NormalDist for the quantile: the loop that
+    """The coordinate Gibbs draw written on numpy scalars with one rng.uniform
+    per slope, and a fresh NormalDist for the quantile: the loop that
     sample_spline_coefficients must reproduce draw for draw. Returns the draw
     and the standardized lower bound of every slope draw."""
     width, h = coefficients.shape
@@ -79,12 +83,16 @@ def reference_spline_draw(coefficients, prec, lin, rng):
             if is_slope[c]:
                 lower = -mean / sd
                 lowers.append(lower)
-                if lower < 6.0:
+                uniform = rng.uniform()
+                tail = 0.5 * math.erfc(lower / math.sqrt(2))
+                if lower < 6.0:  # the CDF, inverted
                     a = 0.5 * math.erfc(-lower / math.sqrt(2))
-                    p = a + rng.uniform() * (1.0 - a)
+                    p = a + uniform * (1.0 - a)
                     z = NormalDist().inv_cdf(min(max(p, 5e-324), 1.0 - 1e-16))
-                else:
-                    z = lower + rng.exponential() / lower
+                elif tail >= 2.0**-1022:  # the upper tail, inverted
+                    z = max(lower, -NormalDist().inv_cdf(max((1.0 - uniform) * tail, 5e-324)))
+                else:  # the tail's exponential limit
+                    z = lower - math.log1p(-uniform) / lower
                 beta[c] = mean + sd * z
             else:
                 beta[c] = mean + sd * rng.standard_normal()
@@ -540,38 +548,42 @@ class TestSplineBlock:
         assert est[1] == pytest.approx(m1, abs=0.05)
 
 
-class FixedUniform:
-    """A generator stub whose every ``random()`` returns one value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
+# a midpoint grid over [0, 1): the mean of a function at these uniforms is a
+# quadrature of its expectation under a uniform, with no sampling noise
+QUADRATURE_UNIFORMS = ((np.arange(200_000) + 0.5) / 200_000).tolist()
 
 
 class TestTruncatedNormal:
-    @pytest.mark.parametrize("lower", [-1.5, 0.0, 2.0])
+    # either side of the far tail at 6, and of its exponential limit past 37.5
+    @pytest.mark.parametrize("lower", [-40.0, -1.5, 0.0, 2.0, 5.99, 6.0, 8.0, 20.0, 37.0,
+                                       39.0, 60.0])
     def test_moments_match_scipy(self, lower):
-        rng = np.random.default_rng(17)
-        draws = np.array([_truncated_standard_normal(rng, lower) for _ in range(20000)])
+        draws = np.array([_truncated_standard_normal(lower, u) for u in QUADRATURE_UNIFORMS])
         ref = truncnorm(lower, np.inf)
         assert np.all(draws >= lower)
-        assert draws.mean() == pytest.approx(ref.mean(), abs=5 * ref.std() / np.sqrt(20000))
-        assert draws.std() == pytest.approx(ref.std(), rel=0.05)
+        # exact inversion up to 37; past it the exponential limit, whose mean
+        # excess 1 / lower is high by about 2 / lower**3
+        mean_tol, sd_tol = (1e-5, 5e-5) if lower <= 37.0 else (2e-3, 3e-3)
+        assert (draws.mean() - lower) / (ref.mean() - lower) == pytest.approx(1.0, abs=mean_tol)
+        assert draws.std() / ref.std() == pytest.approx(1.0, abs=sd_tol)
 
     def test_far_tail(self):
-        rng = np.random.default_rng(18)
-        draws = np.array([_truncated_standard_normal(rng, 8.0) for _ in range(5000)])
-        assert np.all(draws >= 8.0)
-        # conditional excess over the boundary is approximately Exp(8)
-        assert (draws - 8.0).mean() == pytest.approx(1 / 8.0, rel=0.1)
+        # a far-tail draw at the uniform U leaves mass 1 - U of the tail above it
+        uniforms = np.append(np.linspace(0.0, 1.0, 1001)[:-1], 1.0 - 2.0**-53)
+        for lower in (6.0, 8.0, 20.0, 37.0):
+            draws = np.array([_truncated_standard_normal(lower, u) for u in uniforms.tolist()])
+            above = np.exp(log_ndtr(-draws) - log_ndtr(-lower))
+            assert np.max(np.abs(above / (1.0 - uniforms) - 1.0)) <= 1e-10, lower
 
-    @pytest.mark.parametrize("lower, uniform", [(-40.0, 0.0), (0.0, 1.0 - 2.0**-53)])
+    @pytest.mark.parametrize("lower, uniform", [(lower, uniform)
+                                                for lower in (-40.0, 0.0, 6.0, 40.0)
+                                                for uniform in (0.0, 1.0 - 2.0**-53)])
     def test_extreme_uniform_gives_finite_draw(self, lower, uniform):
         # at lower = -40 the CDF underflows to 0, so a zero uniform makes p = 0;
-        # at lower = 0 the largest uniform below 1 rounds p up to 1
-        z = _truncated_standard_normal(FixedUniform(uniform), lower)
+        # at lower = 0 the largest uniform below 1 rounds p up to 1; at 6 the
+        # quantile of the whole tail rounds below lower; at 40 the tail mass
+        # underflows
+        z = _truncated_standard_normal(lower, uniform)
         assert math.isfinite(z)
         assert z >= lower
 
@@ -1004,3 +1016,44 @@ class TestChain:
             for h, g in enumerate(s.splines):
                 assert np.array_equal(g.intercept, chain.spline_coefficients[m, 0, h])
                 assert np.array_equal(g.slopes, chain.spline_coefficients[m, 1:, h])
+
+
+# a seeded fit on setting 3 data (N from argv): pretraining at the default
+# bandwidths, then 200 sweeps with L=8 and H=4; its chain arrays, log-posterior trace
+# and MALA acceptance pickled to stdout
+FIT_PROBE = """
+import pickle, sys
+import numpy as np
+from nifa.model import CHAIN_ARRAYS, DataMatrix, FactorAssignment, Hyperparameters
+from nifa.pretrain import DiffusionConfig, run_pretraining
+from nifa.sampler import run_chain
+from nifa.simulate import gen_setting3
+data = gen_setting3(int(sys.argv[1]), 1)
+anchor, _ = run_pretraining(data, DiffusionConfig(), 8)
+augmented = DataMatrix(np.hstack([anchor.coordinates, data.values]))
+assignment = FactorAssignment.round_robin(4, anchor.n_anchors)
+chain = run_chain(augmented, anchor, Hyperparameters(L=8, iterations=200, burn_in=100, thin=1,
+                                                     seed=1), assignment)
+sys.stdout.buffer.write(pickle.dumps(([getattr(chain, name) for name in CHAIN_ARRAYS],
+                                      chain.diagnostics.log_posterior_trace,
+                                      chain.diagnostics.mala_acceptance_rate)))
+"""
+
+
+def fit_bytes(blas_threads: int, n: int) -> bytes:
+    """FIT_PROBE's output in a fresh interpreter with the given number of
+    OpenBLAS threads."""
+    path = os.pathsep.join([str(Path(nifa.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(blas_threads))
+    proc = subprocess.run([sys.executable, "-c", FIT_PROBE, str(n)],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+class TestBlasThreads:
+    # neither N is a multiple of 64 (OpenBLAS's dgemv blocks) nor of 4 (its row groups)
+    @pytest.mark.parametrize("n", [150, 333])
+    def test_draws_do_not_depend_on_the_blas_thread_count(self, n):
+        # a seeded fit repeats its draws under another OPENBLAS_NUM_THREADS
+        assert fit_bytes(1, n) == fit_bytes(2, n)
