@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import DataMatrix, DomainError, PosteriorChain, ShapeError, eta
+from .model import (DataMatrix, DomainError, PosteriorChain, ShapeError, eta,
+                    quantile_of_sorted)
 
 
 def wasserstein2_1d(a: np.ndarray, b: np.ndarray) -> float:
@@ -18,10 +19,6 @@ def wasserstein2_1d(a: np.ndarray, b: np.ndarray) -> float:
         raise ShapeError("samples must have equal length")
     diff = np.sort(a) - np.sort(b)
     return float(np.sqrt(np.mean(diff**2)))
-
-
-def _quantile_grid(x: np.ndarray, m: int) -> np.ndarray:
-    return np.quantile(x, (np.arange(m) + 0.5) / m)
 
 
 def sliced_wasserstein_details(
@@ -48,13 +45,15 @@ def sliced_wasserstein_details(
         rng = np.random.default_rng(rng)
     p = x.shape[1]
     m = min(x.shape[0], y.shape[0])
+    grid = (np.arange(m) + 0.5) / m
     values = np.empty(n_projections)
     for t in range(n_projections):
         direction = rng.standard_normal(p)
         direction /= np.linalg.norm(direction)
         px, py = x @ direction, y @ direction
         if x.shape[0] != y.shape[0]:
-            px, py = _quantile_grid(px, m), _quantile_grid(py, m)
+            px, py = (quantile_of_sorted(np.sort(px), grid),
+                      quantile_of_sorted(np.sort(py), grid))
         values[t] = wasserstein2_1d(px, py)
     se = float(values.std(ddof=1) / np.sqrt(n_projections)) if n_projections > 1 else 0.0
     return float(values.mean()), se, values

@@ -167,6 +167,24 @@ def rank_transform(x) -> np.ndarray:
     return ranks / x.size
 
 
+def quantile_of_sorted(draws: np.ndarray, q) -> np.ndarray:
+    """Bitwise ``np.quantile(x, q, axis=0)`` of the draws x, given sorted along
+    axis 0, for a scalar q or a vector of them (whose axis then leads); only a
+    tie of -0.0 and 0.0 may sort either way round. The linear rule interpolates
+    between the order statistics lo and lo + 1 at virtual index (m - 1) q as
+    numpy's _lerp does, back from the upper one when the fraction is 0.5 or
+    more. Only those two are read, so draws partitioned at them serve too.
+    np.quantile itself would load numpy.ma, for the mask check of the np.unique
+    it calls."""
+    m = draws.shape[0]
+    at = (m - 1) * np.asarray(q, dtype=float)
+    lo = np.minimum(np.floor(at), m - 1).astype(np.intp)
+    t = at - lo
+    a, b = draws[lo], draws[np.minimum(lo + 1, m - 1)]
+    t = t.reshape(t.shape + (1,) * (draws.ndim - 1))
+    return np.where(t < 0.5, a + (b - a) * t, b - (b - a) * (1 - t))
+
+
 def spline_piece(u, n_pieces: int) -> np.ndarray:
     """Index of the piece holding u, i.e. of the slope that is dg/du there.
 

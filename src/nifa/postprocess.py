@@ -8,12 +8,11 @@ The product Lambda * g(u) is preserved throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DegenerateLoadingError, PosteriorChain, eta
+from .model import DegenerateLoadingError, PosteriorChain, eta, quantile_of_sorted
 
 
 U_GRID = np.linspace(0.0, 1.0, 101)  # summaries and the model-mean check evaluate g here
@@ -142,20 +141,6 @@ def mappings_on_grid(chain: PosteriorChain, grid: np.ndarray) -> np.ndarray:
     return np.stack([eta(c, grid_u, chain.assignment) for c in chain.spline_coefficients])
 
 
-def _quantile(draws: np.ndarray, q: float) -> np.ndarray:
-    """Bitwise ``np.quantile(x, q, axis=0)`` of the draws x, given sorted along
-    axis 0. The linear rule interpolates between the order statistics lo and
-    lo + 1 at virtual index (m - 1) q as numpy's _lerp does, back from the
-    upper one when the fraction is 0.5 or more. np.quantile itself would load
-    numpy.ma, for the mask check of the np.unique it calls."""
-    m = draws.shape[0]
-    at = (m - 1) * q
-    lo = min(math.floor(at), m - 1)
-    t = at - lo
-    a, b = draws[lo], draws[min(lo + 1, m - 1)]
-    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
-
-
 def summarize(chain: PosteriorChain):
     """Posterior means and central CREDIBLE_LEVEL intervals for the aligned chain.
 
@@ -165,7 +150,7 @@ def summarize(chain: PosteriorChain):
     lo_q, hi_q = (1 - CREDIBLE_LEVEL) / 2, 1 - (1 - CREDIBLE_LEVEL) / 2
     def stats(arr):
         draws = np.sort(arr, axis=0)
-        return arr.mean(axis=0), _quantile(draws, lo_q), _quantile(draws, hi_q)
+        return arr.mean(axis=0), quantile_of_sorted(draws, lo_q), quantile_of_sorted(draws, hi_q)
     lam_mean, lam_lo, lam_hi = stats(chain.loadings)
     sig_mean, sig_lo, sig_hi = stats(chain.residual_variances)
     g_mean, g_lo, g_hi = stats(mappings_on_grid(chain, U_GRID))

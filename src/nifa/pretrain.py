@@ -10,8 +10,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .model import (AnchorSet, DataMatrix, DiffusionConfig, rank_transform, spline_design,
-                    usable_cpus)
+from .model import (AnchorSet, DataMatrix, DiffusionConfig, quantile_of_sorted, rank_transform,
+                    spline_design, usable_cpus)
 
 
 class DegenerateGeometryError(RuntimeError):
@@ -140,9 +140,12 @@ def kernel_matrix(data: DataMatrix, epsilon_dm: float) -> np.ndarray:
 def _adjacent_order_statistics(d: np.ndarray, lo: int):
     """The order statistics lo and lo + 1 of the distances d (lo twice when it
     is the last), by one partition at lo and the minimum of the part above it.
-    Reorders d."""
+    Reorders d so that they stand at lo and lo + 1."""
     d.partition(lo)
-    return d[lo], (d[lo + 1 :].min() if lo + 1 < d.size else d[lo])
+    if lo + 1 < d.size:
+        at = lo + 1 + np.argmin(d[lo + 1 :])
+        d[[lo + 1, at]] = d[[at, lo + 1]]
+    return d[lo], d[min(lo + 1, d.size - 1)]
 
 
 def default_epsilon_dm(data: DataMatrix) -> float:
@@ -162,16 +165,12 @@ def default_epsilon_dm(data: DataMatrix) -> float:
 def default_epsilon_local(coords: np.ndarray) -> float:
     """10th percentile of pairwise distances among embedded coordinates.
 
-    Bitwise ``np.quantile(d, 0.10)``: its linear rule interpolates between the
-    order statistics lo and lo + 1 at virtual index (m - 1) * 0.10.
+    Bitwise ``np.quantile(d, 0.10)``, from the two order statistics its linear
+    rule reads, at lo and lo + 1 for lo = floor((m - 1) * 0.10).
     """
     d = _pairwise_distances(coords)
-    at = (d.size - 1) * 0.10
-    lo = math.floor(at)
-    t = at - lo
-    a, b = _adjacent_order_statistics(d, lo)
-    # numpy's _lerp, which interpolates back from b when t >= 0.5
-    q = float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    _adjacent_order_statistics(d, math.floor((d.size - 1) * 0.10))
+    q = float(quantile_of_sorted(d, 0.10))
     if q <= 0:
         raise DegenerateGeometryError("local radius collapsed to zero")
     return q
@@ -188,35 +187,11 @@ _GAP_TOL = 1e-10
 _KRYLOV_START = 40
 _KRYLOV_MAX = 160
 _RITZ_TOL = 1e-10
-# the Lanczos matvec cuts the matrix into blocks of a multiple of this many rows;
+# _matvec cuts the matrix into blocks of a multiple of this many rows;
 # numpy releases the interpreter lock in a matrix-vector product only above 500
 # result rows. OpenBLAS's dgemv gives a multiple of 64 rows the same bits at one
 # and two threads, other heights not always, so only such heights reach BLAS.
 _MATVEC_ROWS = 512
-
-
-def _row_sums(matrix: np.ndarray, threads: _Threads) -> np.ndarray:
-    """matrix.sum(axis=1), row block by row block; bitwise the same."""
-    sums = np.empty(matrix.shape[0])
-    threads.each_block(lambda lo, hi: np.sum(matrix[lo:hi], axis=1, out=sums[lo:hi]),
-                       sums.size)
-    return sums
-
-
-def _divide_by_outer(matrix: np.ndarray, v: np.ndarray, threads: _Threads,
-                     root: bool = False, sums: np.ndarray | None = None) -> None:
-    """In place, matrix /= outer(v, v) (or its square root), row block by row
-    block; bitwise the same as the whole-matrix expression. A given ``sums``
-    receives the row sums of the result, each taken while its block is in cache."""
-
-    def block(lo, hi):
-        outer = np.outer(v[lo:hi], v)
-        rows = matrix[lo:hi]
-        rows /= np.sqrt(outer, out=outer) if root else outer
-        if sums is not None:
-            np.sum(rows, axis=1, out=sums[lo:hi])
-
-    threads.each_block(block, v.size)
 
 
 def _matvec(matrix: np.ndarray, v: np.ndarray, threads: _Threads) -> np.ndarray:
@@ -243,9 +218,11 @@ def _project_out(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return coef + again
 
 
-def _lanczos(sym: np.ndarray, k: int, top: np.ndarray, threads: _Threads):
-    """The k largest eigenpairs of sym on the orthogonal complement of its unit
-    eigenvector top, as (values descending, vectors as columns), or None.
+def _lanczos(apply, n: int, k: int, top: np.ndarray):
+    """The k largest eigenpairs of a symmetric operator on the orthogonal
+    complement of its unit eigenvector top, as (values descending, vectors as
+    columns), or None. apply(v) is the operator's product with a vector of
+    length n.
 
     Lanczos with full reorthogonalization from a fixed start vector; every new
     vector is made orthogonal to top as well, so a second eigenvalue at 1 (a
@@ -255,7 +232,6 @@ def _lanczos(sym: np.ndarray, k: int, top: np.ndarray, threads: _Threads):
     residuals. None means no convergence within _KRYLOV_MAX steps, or a Krylov
     space that closed on fewer than k vectors.
     """
-    n = sym.shape[0]
     limit = min(_KRYLOV_MAX, n - 1)
     # row 0 holds top, rows 1.. the Lanczos vectors
     basis = np.empty((limit + 2, n))
@@ -269,7 +245,7 @@ def _lanczos(sym: np.ndarray, k: int, top: np.ndarray, threads: _Threads):
     m, size, closed = 0, _KRYLOV_START, False
     while True:
         while m < min(size, limit) and not closed:
-            w = _matvec(sym, basis[m + 1], threads)
+            w = apply(basis[m + 1])
             alpha[m] = _project_out(w, basis[: m + 2])[m + 1]
             beta[m] = np.linalg.norm(w)
             m += 1
@@ -289,53 +265,58 @@ def _lanczos(sym: np.ndarray, k: int, top: np.ndarray, threads: _Threads):
         size *= 2
 
 
-def _leading_eigenpairs(sym: np.ndarray, k: int, top: np.ndarray, threads: _Threads):
-    """The k largest eigenpairs of a symmetric matrix whose largest eigenvalue is
-    1 with unit eigenvector top, as (values, vectors, solver): Lanczos on top's
-    orthogonal complement ("lanczos"), otherwise dense eigh ("dense")."""
-    if k < sym.shape[0]:
-        pairs = _lanczos(sym, k - 1, top, threads)
-        if pairs is not None:
-            s, psi = pairs
-            return np.concatenate([[1.0], s]), np.column_stack([top, psi]), "lanczos"
-    try:
-        s, psi = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigen-decomposition failed: {exc}") from None
-    return s, psi, "dense"
-
-
 def diffusion_spectrum(data: DataMatrix, epsilon_dm: float, Q: int):
     """Leading eigenpairs of -L via its symmetric conjugate, at bandwidth epsilon_dm.
 
     Returns (eigenvalues, coordinates, solver): the Q smallest non-trivial
     eigenvalues of -L in ascending order, the matching unit eigenvectors as
     columns, and the eigensolver that ran ("lanczos" or "dense").
+
+    With d = K 1 and W = K / (d d^T), whose row sums are r = K (1/d) / d, the
+    transition matrix D_r^-1 W has the symmetric conjugate D_r^-1/2 W D_r^-1/2
+    = diag(scale) K diag(scale), scale = 1 / (d sqrt(r)). Lanczos applies it as
+    a product with K between two vector scalings and leaves the kernel as built;
+    only the dense eigh (Q + 1 = N, or no Lanczos result) scales K into it.
     """
-    if not 1 <= Q <= data.n_rows - 1:
+    n = data.n_rows
+    if not 1 <= Q <= n - 1:
         raise ValueError("Q must satisfy 1 <= Q <= N-1")
-    # the kernel is normalised in place: K -> W = K / (d d^T) -> D^-1/2 W D^-1/2,
-    # the symmetric conjugate of the transition matrix D^-1 W
-    sym = kernel_matrix(data, epsilon_dm)
+    kern = kernel_matrix(data, epsilon_dm)
     with _Threads() as threads:
-        d = _row_sums(sym, threads)
+        d = _matvec(kern, np.ones(n), threads)
         if np.any(d <= 0):
             raise DegenerateGeometryError("kernel has a zero row sum")
         # a row whose only non-zero entry is its unit diagonal is a component of
         # its own, so eigenvalue 1 is repeated; reject it before any eigensolve
-        isolated = next((i for i in np.flatnonzero(d == 1.0) if np.count_nonzero(sym[i]) == 1),
+        isolated = next((i for i in np.flatnonzero(d == 1.0) if np.count_nonzero(kern[i]) == 1),
                         None)
         if isolated is not None:
             raise DegenerateGeometryError(
                 f"kernel graph is disconnected at epsilon_dm={epsilon_dm:.6g} "
                 f"(point {isolated} has no neighbour); increase epsilon_dm"
             )
-        row = np.empty_like(d)
-        _divide_by_outer(sym, d, threads, sums=row)
-        _divide_by_outer(sym, row, threads, root=True)
-        # sym sqrt(row) = sqrt(row): the trivial pair of the conjugate, known exactly
-        root = np.sqrt(row)
-        s, psi, solver = _leading_eigenpairs(sym, Q + 1, root / np.linalg.norm(root), threads)
+        root = np.sqrt(_matvec(kern, 1.0 / d, threads) / d)
+        scale = 1.0 / (d * root)
+        # the conjugate maps sqrt(r) to itself: its trivial pair, known exactly
+        top = root / np.linalg.norm(root)
+        pairs = None
+        if Q + 1 < n:
+            pairs = _lanczos(lambda v: scale * _matvec(kern, scale * v, threads), n, Q, top)
+        if pairs is not None:
+            s, psi = np.concatenate([[1.0], pairs[0]]), np.column_stack([top, pairs[1]])
+            solver = "lanczos"
+        else:
+            def block(lo, hi):
+                rows = kern[lo:hi]
+                rows *= scale[lo:hi, None]
+                rows *= scale
+
+            threads.each_block(block, n)
+            try:
+                s, psi = np.linalg.eigh(kern)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"eigen-decomposition failed: {exc}") from None
+            solver = "dense"
     # s descending in the transition operator means mu = (1 - s)/eps^2 ascending.
     order = np.argsort(s)[::-1][: Q + 1]
     s = s[order]

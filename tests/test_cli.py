@@ -767,7 +767,13 @@ def stage_startups(workspace, tmp_path_factory):
         "generate": (workspace / "run", "--n", "5", "--out", out / "g.csv"),
         "evaluate": (workspace / "data.csv", workspace / "data.csv", "--projections", "5"),
     }
-    return {command: startup_probe(command, *argv) for command, argv in args.items()}
+    probes = {command: startup_probe(command, *argv) for command, argv in args.items()}
+    # files of unequal row counts reduce each projection to a common quantile grid
+    assert run("simulate", "--setting", "1", "--n", "40", "--seed", "1",
+               "--out", out / "d40.csv") == 0
+    probes["evaluate-unequal"] = startup_probe("evaluate", workspace / "data.csv",
+                                               out / "d40.csv", "--projections", "5")
+    return probes
 
 
 class TestStartup:
@@ -810,6 +816,7 @@ class TestStartup:
         ("postprocess", []),
         ("generate", []),
         ("evaluate", []),
+        ("evaluate-unequal", []),  # the quantile grid loads no numpy.ma
     ])
     def test_stage_loads_only_the_optional_modules_it_uses(self, stage_startups, command,
                                                            optional):

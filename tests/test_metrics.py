@@ -106,6 +106,13 @@ class TestSlicedWasserstein:
         y = rng.standard_normal((40, 2)) + 5.0
         val = sliced_wasserstein(x, y, 50, rng=8)
         assert np.isfinite(val) and val > 3.0
+        # each projection's grid is bitwise np.quantile's
+        gen, grid, dists = np.random.default_rng(8), (np.arange(40) + 0.5) / 40, np.empty(50)
+        for t in range(50):
+            u = gen.standard_normal(2)
+            u /= np.linalg.norm(u)
+            dists[t] = wasserstein2_1d(np.quantile(x @ u, grid), np.quantile(y @ u, grid))
+        assert val == dists.mean()
 
     def test_rotation_invariance_in_distribution(self):
         rng = np.random.default_rng(9)

@@ -3,13 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nifa.model import FactorAssignment, Hyperparameters, eta
+from nifa.model import FactorAssignment, Hyperparameters, eta, quantile_of_sorted
 from nifa.postprocess import (
     CREDIBLE_LEVEL,
     U_GRID,
     DegenerateLoadingError,
     _greedy_match,
-    _quantile,
     mappings_on_grid,
     match_align,
     normalize_columns,
@@ -271,8 +270,16 @@ class TestPipeline:
         rng = np.random.default_rng(m)
         # rounded draws hold ties; a fraction at, above and below 0.5 occurs
         x = np.round(rng.standard_normal((m, 3, 4)), 1)
-        for q in (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0, 1 - 0.05):
-            assert np.array_equal(_quantile(np.sort(x, axis=0), q), np.quantile(x, q, axis=0))
+        qs = (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0, 1 - 0.05)
+        for q in qs:
+            assert np.array_equal(quantile_of_sorted(np.sort(x, axis=0), q),
+                                  np.quantile(x, q, axis=0))
+        # a vector of q, as on the quantile grid of the sliced Wasserstein distance
+        grid = np.concatenate([qs, (np.arange(m) + 0.5) / m])
+        assert np.array_equal(quantile_of_sorted(np.sort(x, axis=0), grid),
+                              np.quantile(x, grid, axis=0))
+        assert np.array_equal(quantile_of_sorted(np.sort(x[:, 0, 0]), grid),
+                              np.quantile(x[:, 0, 0], grid))
 
     def test_summarize_interval_covers_mean_of_constant_chain(self):
         chain = make_chain(seed=12)

@@ -239,10 +239,42 @@ class TestSpectrum:
         cfg = DiffusionConfig(epsilon_dm=0.5)
         mu, coords, solver = diffusion_spectrum(dm, 0.5, cfg.Q)
         assert solver == "dense"
+        # bitwise the fallback's arithmetic, mirrored on fresh arrays: the
+        # conjugate diag(scale) K diag(scale) from _matvec's row sums, dense eigh,
+        # then oracle_spectrum's ordering, scaling and sign convention
+        kern = kernel_matrix(dm, 0.5)
+        with nifa.pretrain._Threads() as threads:
+            d = nifa.pretrain._matvec(kern, np.ones(dm.n_rows), threads)
+            root = np.sqrt(nifa.pretrain._matvec(kern, 1.0 / d, threads) / d)
+        scale = 1.0 / (d * root)
+        s, psi = np.linalg.eigh(kern * scale[:, None] * scale)
+        order = np.argsort(s)[::-1][1 : cfg.Q + 1]
+        vecs = psi[:, order] / root[:, None]
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        for col in vecs.T:
+            if col[np.flatnonzero(np.abs(col) > 1e-12)[0]] < 0:
+                col *= -1
+        assert np.array_equal(mu, (1.0 - s[order]) / 0.5**2) and np.array_equal(coords, vecs)
         mu_dense, coords_dense = dense_spectrum(dm, 0.5, cfg.Q)
-        assert np.array_equal(mu, mu_dense) and np.array_equal(coords, coords_dense)
+        assert np.allclose(mu, mu_dense, rtol=0, atol=1e-10)
+        assert np.allclose(coords, coords_dense, rtol=0, atol=1e-10)
         _, decisions = run_pretraining(dm, cfg, 10)
         assert decisions["eigensolver"] == "dense"
+
+    def test_lanczos_leaves_a_read_only_kernel_as_built(self, monkeypatch):
+        # Lanczos applies the normalised kernel as two vector scalings around a
+        # product with K, so it never writes into the kernel
+        import nifa.pretrain
+
+        def read_only_kernel(data, epsilon_dm):
+            kern = kernel_matrix(data, epsilon_dm)
+            kern.flags.writeable = False
+            return kern
+
+        monkeypatch.setattr(nifa.pretrain, "kernel_matrix", read_only_kernel)
+        dm = gen_setting3(800, seed=21)
+        _, _, solver = diffusion_spectrum(dm, 0.5, 5)
+        assert solver == "lanczos"
 
     def test_disconnected_kernel_graph_rejected(self, monkeypatch):
         # at this bandwidth one point has no non-zero kernel entry besides its
